@@ -19,6 +19,7 @@
 #include "store/world_state.h"
 #include "world/attrs.h"
 #include "world/manhattan_world.h"
+#include "world/wall.h"
 
 namespace seve {
 namespace {
@@ -131,6 +132,50 @@ void BM_GridIndexCollectCircle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GridIndexCollectCircle);
+
+// The Table-I visible-wall count: 100k walls, the cost model's wall-check
+// radius (visibility 30 x 1.9), a fresh center from the Rng per query so
+// the scan cannot settle into one cache-warm neighbourhood.
+void BM_WallCountNear(benchmark::State& state) {
+  Rng gen(5);
+  const auto field = WallField::Generate(
+      AABB{{0.0, 0.0}, {1000.0, 1000.0}}, 100000, 10.0, &gen);
+  Rng rng(6);
+  int64_t walls = 0;
+  for (auto _ : state) {
+    const Vec2 center{rng.NextDouble(0.0, 1000.0),
+                      rng.NextDouble(0.0, 1000.0)};
+    const int count = field->CountNear(center, 30.0 * 1.9);
+    benchmark::DoNotOptimize(count);
+    walls += count;
+  }
+  state.counters["walls_per_query"] =
+      benchmark::Counter(static_cast<double>(walls),
+                         benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_WallCountNear);
+
+// The per-move collision sweep: a Table-I step (speed 10 x 300 ms) of an
+// avatar of radius 0.5 along a random axis heading.
+void BM_WallFirstHit(benchmark::State& state) {
+  Rng gen(5);
+  const auto field = WallField::Generate(
+      AABB{{0.0, 0.0}, {1000.0, 1000.0}}, 100000, 10.0, &gen);
+  const Vec2 headings[] = {{1.0, 0.0}, {-1.0, 0.0}, {0.0, 1.0}, {0.0, -1.0}};
+  Rng rng(7);
+  int64_t hits = 0;
+  for (auto _ : state) {
+    const Vec2 start{rng.NextDouble(0.0, 1000.0),
+                     rng.NextDouble(0.0, 1000.0)};
+    const auto hit =
+        field->FirstHit(start, headings[rng.NextBounded(4)], 3.0, 0.5);
+    benchmark::DoNotOptimize(hit);
+    hits += hit.has_value() ? 1 : 0;
+  }
+  state.counters["hit_frac"] = benchmark::Counter(
+      static_cast<double>(hits), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_WallFirstHit);
 
 void BM_MoveEvaluation(benchmark::State& state) {
   WorldConfig cfg;

@@ -49,8 +49,6 @@ std::optional<double> MovingCircleSegmentHit(Vec2 start, Vec2 dir,
                                              const Segment& s) {
   // Conservative sweep: sample the swept path; exact enough for the
   // simulation's short per-tick steps and keeps the kernel branch-light.
-  // First, a quick reject on the swept AABB.
-  const Vec2 end = start + dir * max_dist;
   const double r_sq = radius * radius;
 
   // If we already touch, the hit distance is zero.
@@ -61,7 +59,6 @@ std::optional<double> MovingCircleSegmentHit(Vec2 start, Vec2 dir,
   // quadratic and unimodal per piece; bisection on fine brackets is robust.
   const int kSteps = 16;
   double prev_t = 0.0;
-  double prev_d = DistanceSqPointSegment(start, s);
   for (int i = 1; i <= kSteps; ++i) {
     const double t = max_dist * static_cast<double>(i) / kSteps;
     const double d = DistanceSqPointSegment(start + dir * t, s);
@@ -79,10 +76,7 @@ std::optional<double> MovingCircleSegmentHit(Vec2 start, Vec2 dir,
       return hi;
     }
     prev_t = t;
-    prev_d = d;
   }
-  (void)prev_d;
-  (void)end;
   return std::nullopt;
 }
 

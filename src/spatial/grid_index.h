@@ -16,15 +16,17 @@ namespace seve {
 
 /// Uniform-grid spatial index over 64-bit item keys.
 ///
-/// Used for the 100,000-wall Manhattan People world (static items inserted
-/// once) and for avatar proximity queries (items moved every tick). Items
-/// are stored in every cell their AABB overlaps; queries deduplicate via a
-/// per-item visit stamp, so results contain each item once.
+/// Used for avatar proximity queries: the client indexes of the SEVE
+/// server and the RING baseline, whose items move every tick. Items are
+/// stored in every cell their AABB overlaps; queries deduplicate via a
+/// per-item visit stamp, so results contain each item once. (The static
+/// 100,000-wall world does not use it: WallField bins each wall once, by
+/// midpoint, in its own read-only layout — see world/wall.h.)
 ///
 /// Hot-path layout: item records live in a slot-indexed slab (`recs_`)
 /// carrying the dedup stamp inline, and each cell stores 32-bit slot
-/// indices with a small inline capacity — the visibility query that
-/// dominates per-move cost touches no hash table and allocates nothing.
+/// indices with a small inline capacity — a circle query touches no hash
+/// table and allocates nothing.
 class GridIndex {
  public:
   /// `bounds` is the world rectangle; `cell_size` trades memory for query
@@ -117,7 +119,7 @@ class GridIndex {
 
   /// Per-cell list of item slots: small counts (the common case — avatar
   /// cells hold a handful of items) stay inline in the cells_ array
-  /// itself; dense wall cells spill to a heap array.
+  /// itself; denser cells spill to a heap array.
   class CellVec {
    public:
     CellVec() = default;

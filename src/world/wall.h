@@ -1,6 +1,7 @@
 #ifndef SEVE_WORLD_WALL_H_
 #define SEVE_WORLD_WALL_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -8,7 +9,6 @@
 #include "common/rng.h"
 #include "spatial/aabb.h"
 #include "spatial/geometry.h"
-#include "spatial/grid_index.h"
 
 namespace seve {
 
@@ -18,11 +18,20 @@ struct Wall {
 };
 
 /// The immutable obstacle layer of a Manhattan People world: up to
-/// 100,000 axis-aligned walls indexed in a uniform grid.
+/// 100,000 axis-aligned walls in a static cell layout.
 ///
 /// Walls never change, so a single WallField is shared (by const pointer)
 /// between the server, all simulated clients, and every MoveAction —
 /// exactly like the static obstruction data every real client ships with.
+///
+/// Layout: each wall is binned into exactly one grid cell, the one that
+/// holds its midpoint, and the cells are stored row-major in CSR form
+/// (`cell_begin_` offsets into cell-ordered segments and wall ids). A wall
+/// reaches at most `max_half_length_` past its midpoint, so a query pads
+/// its cell range by that much instead of storing a wall in every cell it
+/// crosses. `CountNear` adds whole runs of cells that lie inside the
+/// circle with one offset subtraction and tests segments only in the
+/// cells on the circle's rim.
 class WallField {
  public:
   /// Generates `count` axis-aligned walls of `wall_length`, uniformly
@@ -37,22 +46,42 @@ class WallField {
   const Wall& wall(size_t i) const { return walls_[i]; }
 
   /// Number of walls within `radius` of `center` — the "visible walls"
-  /// count driving per-move CPU cost.
+  /// count driving per-move CPU cost. Exactly the number of walls for
+  /// which CircleIntersectsSegment(center, radius, wall) holds.
   int CountNear(Vec2 center, double radius) const;
 
   /// First wall hit by a circle of `radius` moving from `start` along
-  /// `dir` for `max_dist`; returns (travel distance, wall index).
+  /// `dir` for `max_dist`; returns (travel distance, wall index). Among
+  /// walls hit at the same distance, the lowest index wins.
   std::optional<std::pair<double, size_t>> FirstHit(Vec2 start, Vec2 dir,
                                                     double max_dist,
                                                     double radius) const;
 
  private:
-  WallField(const AABB& bounds, double cell_size)
-      : bounds_(bounds), index_(bounds, cell_size) {}
+  explicit WallField(const AABB& bounds) : bounds_(bounds) {}
+
+  /// Bins `walls_` into the cell layout; the last step of Generate.
+  void BuildLayout();
+
+  /// Column / row of the cell holding `x` / `y`, clamped to the grid.
+  int CellX(double x) const;
+  int CellY(double y) const;
+
+  /// Slack for floating-point rounding in the cell classification: it
+  /// grows with the magnitudes a query works with, and only ever moves a
+  /// cell from the bulk-counted or skipped class to the exact test.
+  double Margin(Vec2 center, double radius) const;
 
   AABB bounds_;
   std::vector<Wall> walls_;
-  GridIndex index_;
+
+  double cell_size_ = 1.0;
+  double max_half_length_ = 0.0;
+  int nx_ = 1;
+  int ny_ = 1;
+  std::vector<uint32_t> cell_begin_;    // nx_ * ny_ + 1 offsets
+  std::vector<Segment> cell_segments_;  // walls in cell order
+  std::vector<uint32_t> cell_wall_ids_; // index into walls_, per slot
 };
 
 }  // namespace seve

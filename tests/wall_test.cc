@@ -1,11 +1,199 @@
 #include "world/wall.h"
 
+#include <cmath>
+#include <limits>
+#include <optional>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 namespace seve {
 namespace {
 
 AABB Bounds() { return AABB{{0.0, 0.0}, {1000.0, 1000.0}}; }
+
+// Reference answers: a loop over every wall, no spatial layout.
+int BruteCount(const WallField& field, Vec2 center, double radius) {
+  int count = 0;
+  for (size_t i = 0; i < field.size(); ++i) {
+    if (CircleIntersectsSegment(center, radius, field.wall(i).segment)) {
+      ++count;
+    }
+  }
+  return count;
+}
+
+std::optional<std::pair<double, size_t>> BruteFirstHit(
+    const WallField& field, Vec2 start, Vec2 dir, double max_dist,
+    double radius) {
+  std::optional<std::pair<double, size_t>> best;
+  for (size_t i = 0; i < field.size(); ++i) {
+    const auto hit = MovingCircleSegmentHit(start, dir, max_dist, radius,
+                                            field.wall(i).segment);
+    if (hit.has_value() && (!best.has_value() || *hit < best->first)) {
+      best = std::make_pair(*hit, i);
+    }
+  }
+  return best;
+}
+
+struct FieldCase {
+  const char* name;
+  AABB bounds;
+  int count;
+  double wall_length;
+  int hit_queries;  // FirstHit's reference loop is the slow one
+};
+
+// Dense Table-I field, a sparse one, long walls that the border clamps
+// short, and an off-origin non-square world.
+const FieldCase kFields[] = {
+    {"table1_100k", {{0.0, 0.0}, {1000.0, 1000.0}}, 100000, 10.0, 40},
+    {"sparse", {{0.0, 0.0}, {1000.0, 1000.0}}, 300, 10.0, 2000},
+    {"long_clamped", {{0.0, 0.0}, {1000.0, 1000.0}}, 3000, 150.0, 1000},
+    {"off_origin", {{-750.0, 120.0}, {-150.0, 480.0}}, 5000, 7.5, 600},
+};
+
+// Radii: zero, below one cell, Table I's wall-check radius (30 x 1.9),
+// and wide.
+double PickRadius(Rng* rng, int i) {
+  switch (i % 4) {
+    case 0:
+      return 0.0;
+    case 1:
+      return rng->NextDouble(0.0, 4.0);
+    case 2:
+      return 30.0 * 1.9;
+    default:
+      return rng->NextDouble(0.0, 300.0);
+  }
+}
+
+// A point in the bounds grown by a quarter on each side, so some queries
+// start outside the world.
+Vec2 PickPoint(Rng* rng, const AABB& b) {
+  const double gx = 0.25 * b.Width();
+  const double gy = 0.25 * b.Height();
+  return {rng->NextDouble(b.min.x - gx, b.max.x + gx),
+          rng->NextDouble(b.min.y - gy, b.max.y + gy)};
+}
+
+TEST(WallFieldEquivalenceTest, CountNearMatchesBruteForce) {
+  for (const FieldCase& fc : kFields) {
+    Rng gen(11);
+    auto field = WallField::Generate(fc.bounds, fc.count, fc.wall_length,
+                                     &gen);
+    Rng rng(12);
+    for (int q = 0; q < 800; ++q) {
+      const Vec2 center = PickPoint(&rng, fc.bounds);
+      const double radius = PickRadius(&rng, q);
+      ASSERT_EQ(field->CountNear(center, radius),
+                BruteCount(*field, center, radius))
+          << fc.name << " query " << q << " center (" << center.x << ", "
+          << center.y << ") radius " << radius;
+    }
+  }
+}
+
+TEST(WallFieldEquivalenceTest, CountNearExactAtWallEndpoints) {
+  // Centers on wall endpoints and midpoints: radius 0 touches exactly,
+  // and the walls sit on cell edges as often as chance allows.
+  for (const FieldCase& fc : kFields) {
+    Rng gen(21);
+    auto field = WallField::Generate(fc.bounds, fc.count, fc.wall_length,
+                                     &gen);
+    Rng rng(22);
+    for (int q = 0; q < 300; ++q) {
+      const Segment& s =
+          field->wall(static_cast<size_t>(rng.NextBounded(field->size())))
+              .segment;
+      const Vec2 center = q % 3 == 0   ? s.a
+                          : q % 3 == 1 ? s.b
+                                       : (s.a + s.b) * 0.5;
+      const double radius = PickRadius(&rng, q);
+      const int count = field->CountNear(center, radius);
+      ASSERT_EQ(count, BruteCount(*field, center, radius))
+          << fc.name << " query " << q;
+      ASSERT_GE(count, 1) << fc.name << " query " << q;
+    }
+  }
+}
+
+TEST(WallFieldEquivalenceTest, ClampedWallsArePresent) {
+  // The long_clamped case must really contain walls cut short by the
+  // border, or it would not test them.
+  const FieldCase& fc = kFields[2];
+  Rng gen(11);
+  auto field =
+      WallField::Generate(fc.bounds, fc.count, fc.wall_length, &gen);
+  int clamped = 0;
+  for (size_t i = 0; i < field->size(); ++i) {
+    if (field->wall(i).segment.Length() < fc.wall_length - 1e-9) ++clamped;
+  }
+  EXPECT_GT(clamped, 100);
+}
+
+TEST(WallFieldEquivalenceTest, FirstHitMatchesBruteForce) {
+  for (const FieldCase& fc : kFields) {
+    Rng gen(31);
+    auto field = WallField::Generate(fc.bounds, fc.count, fc.wall_length,
+                                     &gen);
+    Rng rng(32);
+    int hits = 0;
+    for (int q = 0; q < fc.hit_queries; ++q) {
+      const Vec2 start = PickPoint(&rng, fc.bounds);
+      // Axis-aligned headings as Manhattan People uses, and arbitrary ones.
+      Vec2 dir;
+      if (q % 2 == 0) {
+        const Vec2 axes[] = {{1.0, 0.0}, {-1.0, 0.0}, {0.0, 1.0}, {0.0, -1.0}};
+        dir = axes[rng.NextBounded(4)];
+      } else {
+        const double angle = rng.NextDouble(0.0, 6.283185307179586);
+        dir = Vec2{std::cos(angle), std::sin(angle)};
+      }
+      const double max_dist = rng.NextDouble(0.0, 3.0 * fc.wall_length);
+      const double radius = q % 5 == 0 ? 0.0 : rng.NextDouble(0.0, 3.0);
+      const auto got = field->FirstHit(start, dir, max_dist, radius);
+      const auto want = BruteFirstHit(*field, start, dir, max_dist, radius);
+      ASSERT_EQ(got.has_value(), want.has_value()) << fc.name << " query "
+                                                   << q;
+      if (!got.has_value()) continue;
+      ++hits;
+      ASSERT_EQ(got->first, want->first) << fc.name << " query " << q;
+      ASSERT_EQ(got->second, want->second) << fc.name << " query " << q;
+    }
+    EXPECT_GT(hits, 0) << fc.name;
+  }
+}
+
+TEST(WallFieldEquivalenceTest, FirstHitTieGoesToLowestIndex) {
+  // Starting inside several walls' reach, every one of them is hit at
+  // distance 0; the answer must be the lowest index among them, wherever
+  // the walls are binned.
+  Rng gen(41);
+  auto field = WallField::Generate(Bounds(), 100000, 10.0, &gen);
+  Rng rng(42);
+  int ties = 0;
+  for (int q = 0; q < 200; ++q) {
+    const Vec2 start{rng.NextDouble(50.0, 950.0),
+                     rng.NextDouble(50.0, 950.0)};
+    const double radius = 6.0;
+    size_t lowest = std::numeric_limits<size_t>::max();
+    int touching = 0;
+    for (size_t i = 0; i < field->size(); ++i) {
+      if (CircleIntersectsSegment(start, radius, field->wall(i).segment)) {
+        if (touching++ == 0) lowest = i;
+      }
+    }
+    const auto hit = field->FirstHit(start, {1.0, 0.0}, 5.0, radius);
+    if (touching == 0) continue;
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->first, 0.0);
+    EXPECT_EQ(hit->second, lowest) << "query " << q;
+    if (touching > 1) ++ties;
+  }
+  EXPECT_GT(ties, 100);
+}
 
 TEST(WallFieldTest, GeneratesRequestedCount) {
   Rng rng(1);
@@ -43,20 +231,6 @@ TEST(WallFieldTest, DeterministicForSeed) {
     EXPECT_EQ(f1->wall(i).segment.a, f2->wall(i).segment.a);
     EXPECT_EQ(f1->wall(i).segment.b, f2->wall(i).segment.b);
   }
-}
-
-TEST(WallFieldTest, CountNearMatchesBruteForce) {
-  Rng rng(3);
-  auto field = WallField::Generate(Bounds(), 300, 10.0, &rng);
-  const Vec2 center{500.0, 500.0};
-  const double radius = 75.0;
-  int expected = 0;
-  for (size_t i = 0; i < field->size(); ++i) {
-    if (CircleIntersectsSegment(center, radius, field->wall(i).segment)) {
-      ++expected;
-    }
-  }
-  EXPECT_EQ(field->CountNear(center, radius), expected);
 }
 
 TEST(WallFieldTest, DensityScalesWithCount) {
