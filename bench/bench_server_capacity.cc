@@ -11,9 +11,8 @@
 // The XL regime extends the sweep to a 100,000-avatar single shard
 // (DESIGN.md §13): a spectator-heavy population where only a small
 // mover district is active at any instant, short links, and tight
-// interest radii. Every XL point runs twice — dirty-list flush vs the
-// legacy full-client scan (SeveOptions::legacy_flush_scan) — with the
-// real wall-clock of the flush+route kernels recorded side by side.
+// interest radii. Each XL point also crashes and rejoins a mover, so its
+// 100k-object snapshot streams through the catch-up pacer mid-run.
 
 #include <chrono>
 #include <cstdio>
@@ -36,8 +35,7 @@ struct CapacityConfig {
   int clients = 0;
   int movers = 0;  // active submitters; == clients in the classic regime
   int moves = 0;
-  bool xl = false;           // 100k single-shard regime
-  bool legacy_flush = false; // run the pre-dirty-list full scan
+  bool xl = false;  // 100k single-shard regime
 };
 
 struct CapacityPoint {
@@ -54,10 +52,9 @@ struct CapacityPoint {
   uint64_t sig_rejects = 0;
   uint64_t digest_folds = 0;
   uint64_t digest_rescans = 0;
-  // Fan-out kernel counters + measured flush/route wall time.
+  // Fan-out kernel counters.
   FanoutCounters fanout;
   double dirty_scan_ratio = 0.0;
-  int64_t flush_route_ns = 0;
   // XL rejoin-under-pacing: catch-up chunks sent and the largest batch
   // any single tick carried (the pacer's enforced ceiling).
   int64_t snapshot_chunks = 0;
@@ -81,15 +78,10 @@ CapacityPoint RunCapacity(const CapacityConfig& cfg) {
   opts.proactive_push = true;
   opts.dropping = true;
   opts.threshold = 45.0;
-  opts.legacy_flush_scan = cfg.legacy_flush;
   if (cfg.xl) {
-    // Measure the real flush+route kernels; silence the CommitNotice
-    // broadcast so the (node-less) spectator population stays silent.
-    opts.kernel_timing = true;
+    // Silence the CommitNotice broadcast so the (node-less) spectator
+    // population stays silent.
     opts.commit_notice_period_us = 0;
-    // A mid-run rejoin must not burst the whole 100k-object snapshot
-    // into one tick: pace it and let main() assert the bound held.
-    opts.snapshot_chunks_per_tick = 64;
   }
   InterestModel interest(10.0, kRtt, opts.omega);
   const AABB bounds{{0.0, 0.0}, {1000.0, 1000.0}};
@@ -166,8 +158,8 @@ CapacityPoint RunCapacity(const CapacityConfig& cfg) {
     }
   }
   // XL: crash one mover early and rejoin it mid-run, so the paced
-  // catch-up (a 100k-object snapshot at snapshot_chunks_per_tick) pumps
-  // while the shard is live — the regime the pacer exists for.
+  // catch-up (a 100k-object snapshot, 64 chunks per tick) pumps while the
+  // shard is live — the regime the pacer exists for.
   if (cfg.xl && !clients.empty()) {
     SeveClient* rejoiner = clients.front().get();
     loop.At(300'000, [rejoiner]() { rejoiner->Fail(); });
@@ -177,7 +169,7 @@ CapacityPoint RunCapacity(const CapacityConfig& cfg) {
   // spatial routing only tests genuinely nearby clients. XL keeps the
   // server running through an idle tail: a live shard push-cycles
   // whether or not anyone moved, which is exactly where the dirty list
-  // beats the full scan.
+  // pays off.
   loop.RunUntil(last + kRtt + (cfg.xl ? 1'800'000 : 300'000));
   // Read the rejoiner before teardown: FlushAll drains any still-queued
   // catch-up in one burst (deliberately uncounted), so "caught up by end
@@ -208,7 +200,6 @@ CapacityPoint RunCapacity(const CapacityConfig& cfg) {
   point.digest_rescans = server.authoritative().digest_rescans();
   point.fanout = server.stats().fanout;
   point.dirty_scan_ratio = point.fanout.DirtyScanRatio(cfg.clients);
-  point.flush_route_ns = server.flush_route_wall_ns();
   point.snapshot_chunks = server.stats().snapshot_chunks;
   point.max_chunks_per_tick = server.stats().sync.max_chunks_per_tick;
   point.rejoiner_caught_up = rejoiner_caught_up;
@@ -249,23 +240,18 @@ int main(int argc, char** argv) {
 
   std::vector<CapacityConfig> configs;
   if (avatars_only > 0) {
-    // Perf-smoke mode: one XL population, both flush arms.
-    const int movers = MoversFor(avatars_only);
-    configs.push_back({avatars_only, movers, 5, true, false});
-    configs.push_back({avatars_only, movers, 5, true, true});
+    // Perf-smoke mode: one XL population.
+    configs.push_back({avatars_only, MoversFor(avatars_only), 5, true});
   } else {
     const std::vector<int> counts =
         quick ? std::vector<int>{250, 1000}
               : std::vector<int>{250, 500, 1000, 2000, 3000, 3500, 4000};
     const int moves = quick ? 5 : 10;
-    for (int c : counts) configs.push_back({c, c, moves, false, false});
+    for (int c : counts) configs.push_back({c, c, moves, false});
     if (!quick) {
-      // The 100k-avatar single-shard regime, each point twice: dirty-list
-      // flush vs the legacy full scan, side by side.
+      // The 100k-avatar single-shard regime.
       for (int c : {10000, 20000, 50000, 100000}) {
-        const int movers = MoversFor(c);
-        configs.push_back({c, movers, 5, true, false});
-        configs.push_back({c, movers, 5, true, true});
+        configs.push_back({c, MoversFor(c), 5, true});
       }
     }
   }
@@ -283,65 +269,36 @@ int main(int argc, char** argv) {
             .count();
   });
 
-  std::printf("%-8s %-8s %-8s %-18s %-16s %-10s %-14s\n", "clients",
-              "movers", "flush", "server CPU busy %", "mean resp ms",
-              "p95 ms", "flush+route ms");
+  std::printf("%-8s %-8s %-8s %-18s %-16s %-10s %-12s\n", "clients",
+              "movers", "regime", "server CPU busy %", "mean resp ms",
+              "p95 ms", "scan ratio");
   for (const CapacityPoint& p : points) {
-    std::printf("%-8d %-8d %-8s %-18.1f %-16.1f %-10.1f %-14.2f\n",
+    std::printf("%-8d %-8d %-8s %-18.1f %-16.1f %-10.1f %-12.4f\n",
                 p.config.clients, p.config.movers,
-                p.config.xl ? (p.config.legacy_flush ? "legacy" : "dirty")
-                            : "-",
-                p.server_busy_pct, p.mean_response_ms, p.p95_response_ms,
-                static_cast<double>(p.flush_route_ns) / 1e6);
+                p.config.xl ? "xl" : "classic", p.server_busy_pct,
+                p.mean_response_ms, p.p95_response_ms, p.dirty_scan_ratio);
   }
 
-  // XL pairs: kernel speedup of the dirty-list flush over the full scan.
-  struct Speedup {
-    int clients;
-    double factor;
-  };
-  std::vector<Speedup> speedups;
-  for (size_t i = 0; i + 1 < points.size(); ++i) {
-    const CapacityPoint& dirty = points[i];
-    const CapacityPoint& legacy = points[i + 1];
-    if (dirty.config.xl && legacy.config.xl &&
-        dirty.config.clients == legacy.config.clients &&
-        !dirty.config.legacy_flush && legacy.config.legacy_flush &&
-        dirty.flush_route_ns > 0) {
-      const double factor = static_cast<double>(legacy.flush_route_ns) /
-                            static_cast<double>(dirty.flush_route_ns);
-      speedups.push_back({dirty.config.clients, factor});
-      std::printf("xl %-7d flush+route kernel speedup: %.2fx "
-                  "(legacy %.2f ms -> dirty %.2f ms, scan ratio %.4f)\n",
-                  dirty.config.clients, factor,
-                  static_cast<double>(legacy.flush_route_ns) / 1e6,
-                  static_cast<double>(dirty.flush_route_ns) / 1e6,
-                  dirty.dirty_scan_ratio);
-    }
-  }
-
-  // XL pacing bound: every XL point ran a mid-run crash/rejoin against a
-  // snapshot_chunks_per_tick = 64 pacer, so the largest per-tick batch
-  // the server recorded must sit in (0, 64] — zero means the rejoin
-  // never streamed, above 64 means the pacer leaked a burst.
+  // XL pacing bound: every XL point ran a mid-run crash/rejoin through
+  // the 64-chunks-per-tick pacer, so the largest per-tick batch the
+  // server recorded must sit in (0, 64] — zero means the rejoin never
+  // streamed, above 64 means the pacer leaked a burst.
   bool pacing_ok = true;
   for (const CapacityPoint& p : points) {
     if (!p.config.xl) continue;
     if (p.max_chunks_per_tick <= 0 || p.max_chunks_per_tick > 64 ||
         !p.rejoiner_caught_up) {
       std::fprintf(stderr,
-                   "PACING FAIL: xl clients=%d flush=%s "
+                   "PACING FAIL: xl clients=%d "
                    "max_chunks_per_tick=%lld (bound 64) caught_up=%d\n",
                    p.config.clients,
-                   p.config.legacy_flush ? "legacy" : "dirty",
                    static_cast<long long>(p.max_chunks_per_tick),
                    p.rejoiner_caught_up ? 1 : 0);
       pacing_ok = false;
     } else {
-      std::printf("xl %-7d %-7s rejoin paced OK: %lld chunks, max "
+      std::printf("xl %-7d rejoin paced OK: %lld chunks, max "
                   "%lld/tick (bound 64)\n",
                   p.config.clients,
-                  p.config.legacy_flush ? "legacy" : "dirty",
                   static_cast<long long>(p.snapshot_chunks),
                   static_cast<long long>(p.max_chunks_per_tick));
     }
@@ -353,16 +310,6 @@ int main(int argc, char** argv) {
   j += "  \"schema_version\": 1,\n";
   j += "  \"jobs\": " + std::to_string(num_jobs) + ",\n";
   j += std::string("  \"quick\": ") + (quick ? "true" : "false") + ",\n";
-  j += "  \"xl_speedups\": [";
-  for (size_t i = 0; i < speedups.size(); ++i) {
-    char s[96];
-    std::snprintf(s, sizeof(s),
-                  "%s{\"clients\": %d, \"flush_route_speedup\": %.6g}",
-                  i > 0 ? ", " : "", speedups[i].clients,
-                  speedups[i].factor);
-    j += s;
-  }
-  j += "],\n";
   j += "  \"rows\": [\n";
   for (size_t i = 0; i < points.size(); ++i) {
     const CapacityPoint& p = points[i];
@@ -370,7 +317,7 @@ int main(int argc, char** argv) {
     std::snprintf(
         row, sizeof(row),
         "    {\"clients\": %d, \"movers\": %d, \"moves_per_client\": %d, "
-        "\"regime\": \"%s\", \"flush_scan\": \"%s\", "
+        "\"regime\": \"%s\", "
         "\"server_busy_pct\": %.6g, \"response_mean_ms\": %.6g, "
         "\"response_p95_ms\": %.6g, \"wall_seconds\": %.6g, "
         "\"walk_visits\": %llu, \"intersect_calls\": %llu, "
@@ -378,12 +325,11 @@ int main(int argc, char** argv) {
         "\"digest_rescans\": %llu, \"push_batches\": %lld, "
         "\"coalesced_pushes\": %lld, \"dirty_slots_flushed\": %lld, "
         "\"flush_cycles\": %lld, \"dirty_scan_ratio\": %.6g, "
-        "\"route_alloc\": %lld, \"flush_route_ns\": %lld, "
+        "\"route_alloc\": %lld, "
         "\"snapshot_chunks\": %lld, \"max_chunks_per_tick\": %lld, "
         "\"rejoiner_caught_up\": %s}%s\n",
         p.config.clients, p.config.movers, p.config.moves,
-        p.config.xl ? "xl" : "classic",
-        p.config.legacy_flush ? "legacy" : "dirty", p.server_busy_pct,
+        p.config.xl ? "xl" : "classic", p.server_busy_pct,
         p.mean_response_ms, p.p95_response_ms, p.wall_seconds,
         static_cast<unsigned long long>(p.walk_visits),
         static_cast<unsigned long long>(p.intersect_calls),
@@ -395,7 +341,6 @@ int main(int argc, char** argv) {
         static_cast<long long>(p.fanout.dirty_slots_flushed),
         static_cast<long long>(p.fanout.flush_cycles), p.dirty_scan_ratio,
         static_cast<long long>(p.fanout.route_alloc),
-        static_cast<long long>(p.flush_route_ns),
         static_cast<long long>(p.snapshot_chunks),
         static_cast<long long>(p.max_chunks_per_tick),
         p.rejoiner_caught_up ? "true" : "false",

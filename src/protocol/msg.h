@@ -178,6 +178,9 @@ struct SnapshotRequestBody : MessageBody {
 /// exactly as ComputeClosure does, so replay from the snapshot converges
 /// to the same digests as never-failed clients.
 struct SnapshotChunkBody : MessageBody {
+  /// Fixed per-chunk header of the declared size.
+  static constexpr int64_t kHeaderBytes = 32;
+
   SeqNum snapshot_pos = kInvalidSeq;  // commit frontier the values reflect
   int64_t chunk = 0;                  // 0-based chunk index
   int64_t total = 1;                  // chunk count; last carries the tail
@@ -186,7 +189,7 @@ struct SnapshotChunkBody : MessageBody {
 
   int kind() const override { return kSnapshotChunk; }
   int64_t WireSize() const {
-    int64_t size = 32;
+    int64_t size = kHeaderBytes;
     for (const Object& obj : objects) size += obj.WireSize();
     for (const OrderedAction& rec : tail) size += 8 + rec.action->WireSize();
     return size;

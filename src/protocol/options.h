@@ -32,7 +32,8 @@ struct SeveOptions {
   bool all_client_completions = false;
 
   /// Crash/rejoin recovery: objects per SnapshotChunk when the server
-  /// streams ζS to a rejoining client.
+  /// streams ζS to a rejoining client. Catch-up transfers are paced at
+  /// SerializerCore::kCatchupChunksPerTick chunks per tick.
   int snapshot_chunk_objects = 64;
 
   /// Updatable-queue optimisation: a newer MoveAction from the same
@@ -42,26 +43,6 @@ struct SeveOptions {
   /// Off by default — with it off the data path is bit-identical to the
   /// pre-supersession protocol.
   bool move_supersession = false;
-
-  /// Sharded tier only (SeveShardServer): fan committed escalated-closure
-  /// results out through First-Bound style coalesced push batches (blind
-  /// writes of the stable values) to the interested clients of the owning
-  /// shard, instead of leaving every non-origin client to pull them. The
-  /// single-server tier ignores the flag (its First Bound push already
-  /// covers this). Pure replica freshening: pushes are authoritative
-  /// blind writes, so server state and committed digests are unchanged.
-  bool escalated_push = true;
-
-  /// Benchmarking compat mode: run the push flush as the pre-dirty-list
-  /// full scan over every registered client. Message contents, costs and
-  /// digests are identical to the dirty-list flush; only wall-clock
-  /// differs. Used by bench_server_capacity for side-by-side kernels.
-  bool legacy_flush_scan = false;
-
-  /// Accumulate real wall-clock nanoseconds around the flush+route
-  /// kernels (SeveServer::flush_route_wall_ns). Never enters simulated
-  /// time, stats or digests.
-  bool kernel_timing = false;
 
   /// The simulation tick τ; Algorithm 7 runs once per tick.
   Micros tick_us = 100 * 1000;
@@ -79,12 +60,11 @@ struct SeveOptions {
   /// full-snapshot protocol.
   bool delta_sync = false;
 
-  /// IBF sizing: floor, safety factor over the strata estimate, and an
-  /// optional hard cap (a deliberately tiny cap forces the deterministic
-  /// decode-failure fallback in tests).
-  int64_t sync_min_cells = 64;
-  double sync_alpha = 4.0;
-  int64_t sync_max_cells = 0;  // 0 = uncapped
+  /// Hard cap on IBF cells (0 = uncapped; a deliberately tiny cap forces
+  /// the deterministic decode-failure fallback in tests). The floor and
+  /// the safety factor over the strata estimate are sync::kSyncMinCells
+  /// and sync::kSyncAlpha.
+  int64_t sync_max_cells = 0;
 
   /// Background anti-entropy: clients run the same reconciliation
   /// exchange against their home server every period, repairing replica
@@ -101,14 +81,8 @@ struct SeveOptions {
   /// client re-sends its catch-up request (0 = never — the seed
   /// behaviour, which can strand a client whose request was dropped or
   /// whose transfer was abandoned by the reliable channel).
+  /// At most SeveClient::kCatchupRetryLimit retries per rejoin.
   Micros snapshot_retry_us = 0;
-  /// Retry cap, so an unregistered client cannot spin forever.
-  int snapshot_retry_limit = 5;
-
-  /// Catch-up pacing: at most this many snapshot/delta chunks enter the
-  /// send path per tick (0 = the legacy single-burst submit). Bounds the
-  /// per-tick work spike a 100k-object snapshot otherwise causes.
-  int snapshot_chunks_per_tick = 0;
 };
 
 }  // namespace seve

@@ -103,7 +103,7 @@ void SeveClient::SendSyncRequest(uint8_t mode) {
 
 void SeveClient::ArmCatchupRetry() {
   if (options_.snapshot_retry_us <= 0) return;
-  if (retries_used_ >= options_.snapshot_retry_limit) return;
+  if (retries_used_ >= kCatchupRetryLimit) return;
   const int64_t incarnation = retry_incarnation_;
   loop()->After(options_.snapshot_retry_us, [this, incarnation]() {
     // Stale arms die silently: the rejoin completed (incarnation moved

@@ -32,6 +32,10 @@ namespace seve {
 ///    transitively included older action cannot clobber newer state.
 class SeveClient : public Node {
  public:
+  /// Catch-up retries per rejoin (options.snapshot_retry_us), so an
+  /// unregistered client cannot spin forever.
+  static constexpr int kCatchupRetryLimit = 5;
+
   SeveClient(NodeId node, EventLoop* loop, ClientId client, NodeId server,
              WorldState initial, ActionCostFn cost_fn, Micros install_us,
              const SeveOptions& options);

@@ -2,22 +2,12 @@
 #define SEVE_PROTOCOL_SEVE_SERVER_H_
 
 #include <cstdint>
-#include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "action/action.h"
 #include "common/flat_map.h"
-#include "common/metrics.h"
-#include "net/node.h"
-#include "protocol/client_table.h"
-#include "protocol/interest.h"
-#include "protocol/msg.h"
-#include "protocol/options.h"
-#include "protocol/server_queue.h"
+#include "protocol/serializer_core.h"
 #include "spatial/grid_index.h"
-#include "store/world_state.h"
-#include "world/cost_model.h"
 
 namespace seve {
 
@@ -37,8 +27,9 @@ namespace seve {
 /// Client bookkeeping is an SoA ClientTable (DESIGN.md §13): dense slots
 /// in registration order, with the push flush driven by an epoch-stamped
 /// dirty list so a cycle costs O(clients with pending work), not
-/// O(registered clients).
-class SeveServer : public Node {
+/// O(registered clients). Crash recovery — snapshot and delta-sync
+/// catch-up, anti-entropy, pacing — is the shared SerializerCore's.
+class SeveServer : public SerializerCore {
  public:
   SeveServer(NodeId node, EventLoop* loop, WorldState initial,
              const CostModel& cost, const InterestModel& interest,
@@ -59,23 +50,6 @@ class SeveServer : public Node {
   /// client immediately (bypassing the push cadence).
   void FlushAll();
 
-  const WorldState& authoritative() const { return state_; }
-  SeqNum committed_frontier() const { return queue_.begin_pos(); }
-  size_t uncommitted() const { return queue_.uncommitted_size(); }
-
-  ProtocolStats& stats() { return stats_; }
-  const ProtocolStats& stats() const { return stats_; }
-
-  /// Wall-clock nanoseconds spent in the flush + route kernels, when
-  /// options.kernel_timing is on. Measurement only — never feeds
-  /// simulated time, stats or digests.
-  int64_t flush_route_wall_ns() const { return flush_route_wall_ns_; }
-
-  /// pos -> stable digest of every installed action (from completion
-  /// messages); ground truth for the consistency checker.
-  const DigestMap& committed_digests() const {
-    return committed_digests_;
-  }
   /// pos of actions dropped by Algorithm 7.
   const std::vector<SeqNum>& dropped_positions() const {
     return dropped_positions_;
@@ -88,26 +62,13 @@ class SeveServer : public Node {
   void HandleSubmit(ClientId from, ActionPtr action,
                     const ObjectSet& resync);
   void HandleCompletion(const CompletionBody& completion);
-  /// Crash recovery (Section III-C): resets the shared channel state and
-  /// forgets queued pushes for the rejoining client.
+  /// Crash recovery (Section III-C): resets the client's session; the
+  /// catch-up request that follows is served by the core.
   void HandleRejoin(const RejoinBody& rejoin);
-  /// Streams ζS to the rejoining client in SnapshotChunk slices; the
-  /// final chunk carries the uncommitted queue tail (completed entries
-  /// substituted by blind writes of their stable results). `src` is the
-  /// requesting node, so even an unregistered requester gets a NACK
-  /// instead of a silent drop.
-  void HandleSnapshotRequest(const SnapshotRequestBody& request, NodeId src);
-  /// Delta-sync handshake (DESIGN.md §15), step 1: estimate the set
-  /// difference from the client's strata estimator; zero diff short-
-  /// circuits to a tail-only delta, otherwise the server asks for an IBF
-  /// sized to the estimate.
-  void HandleSyncRequest(const SyncRequestBody& request, NodeId src);
-  /// Step 2: subtract the client's IBF from ours and peel. A clean decode
-  /// ships only the symmetric difference (plus the live tail for rejoin
-  /// mode); a failed peel falls back deterministically to the full
-  /// SnapshotChunk stream.
-  void HandleSyncIBF(const SyncIBFBody& body, NodeId src);
   void OnTick();  // Algorithm 7: validity decisions for the last tick
+  /// Completes the just-invalidated entry at `pos` if it is the queue
+  /// head, advancing the committed frontier over it.
+  void CompleteIfHead(SeqNum pos);
   void OnPushCycle();  // First Bound: proactive push every ω·RTT
 
   /// Per-slot half of the push cycle: partitions the slot's pending list
@@ -125,9 +86,7 @@ class SeveServer : public Node {
   /// `resync` (origin replies only) adds objects the client flagged as
   /// non-replayable: they join the walked read set, their already-sent
   /// writers are force-included, and whatever remains unresolved lands
-  /// in the head blind write. Included entries whose stable result is
-  /// already known (completed) are substituted by blind writes of their
-  /// written values — always replayable at any client.
+  /// in the head blind write. Included entries ship in ShipEntry form.
   void AppendClosure(ClientId client, SeqNum pos, Micros* cpu_cost,
                      std::vector<OrderedAction>* out,
                      const ObjectSet& resync = {});
@@ -147,66 +106,6 @@ class SeveServer : public Node {
   void UpdateClientProfile(ClientId client, const InterestProfile& profile);
   void SendCommitNotices();
 
-  /// One prepared catch-up message (snapshot or delta chunk) awaiting its
-  /// turn on the wire.
-  struct CatchupChunk {
-    std::shared_ptr<const MessageBody> body;
-    int64_t wire_size = 0;
-  };
-  /// An in-flight catch-up transfer in paced mode. While a slot appears
-  /// here its regular flushes are suppressed: the rejoining client drops
-  /// everything but catch-up traffic, so a mid-transfer push would lose
-  /// its sent-marked entries forever.
-  struct PendingCatchup {
-    ClientTable::Slot slot = 0;
-    NodeId dst = NodeId::Invalid();
-    ClientId client = ClientId::Invalid();
-    std::vector<CatchupChunk> chunks;
-    std::vector<SeqNum> tail_positions;
-    size_t next = 0;  // first unsent chunk
-  };
-
-  /// Captures the live uncommitted tail (completed entries substituted by
-  /// blind writes of their stable results) WITHOUT marking anything sent;
-  /// the included positions land in *positions so DispatchCatchup can
-  /// mark them at send time. Marking at request time (the seed behaviour)
-  /// loses the entries forever when the transfer is abandoned.
-  void CollectTail(std::vector<OrderedAction>* tail,
-                   std::vector<SeqNum>* positions);
-  /// Ships a prepared catch-up. snapshot_chunks_per_tick == 0 submits one
-  /// send closure (the seed's schedule, digest-identical); > 0 drips the
-  /// chunks out per tick while suppressing regular flushes for the slot.
-  void DispatchCatchup(ClientTable::Slot slot, ClientId client,
-                       std::vector<CatchupChunk> chunks,
-                       std::vector<SeqNum> tail_positions, Micros cpu);
-  /// Sends the next paced batch (at most snapshot_chunks_per_tick chunks
-  /// across all transfers) and re-arms the per-tick pacer while any
-  /// transfer is unfinished.
-  void PumpCatchups();
-  /// Quiesce aid: ships every queued catch-up chunk immediately.
-  void DrainCatchups();
-  bool InCatchup(ClientTable::Slot slot) const;
-  void MarkTailSent(const std::vector<SeqNum>& positions, ClientId client);
-  /// Deterministic refusal for requests from unknown clients — the seed
-  /// dropped them silently, stranding the requester forever.
-  void SendNack(NodeId dst, ClientId client, uint8_t mode);
-  /// Builds and dispatches the SyncDelta chunk stream for a decoded plan
-  /// (rejoin mode appends the live tail to the last chunk).
-  void SendDelta(ClientTable::Slot slot, ClientId client, uint8_t mode,
-                 const std::vector<ObjectId>& ship,
-                 const std::vector<ObjectId>& remove);
-  /// What the legacy full snapshot of the current ζS would put on the
-  /// wire — the bytes-saved baseline for sync.full_bytes_estimate.
-  int64_t FullSnapshotBytesEstimate() const;
-
-  WorldState state_;  // ζS (committed prefix only)
-  CostModel cost_;
-  InterestModel interest_;
-  SeveOptions options_;
-  ServerQueue queue_;
-  // SoA client registry; slots ascend in registration order, which keeps
-  // every per-client iteration identical to the old client_order_ walk.
-  ClientTable clients_;
   GridIndex client_index_;  // keyed by client slot
   double max_client_radius_ = 0.0;
   SeqNum validity_frontier_ = 0;  // positions below are drop-decided
@@ -214,15 +113,7 @@ class SeveServer : public Node {
   // Resync sets attached to submissions whose reply waits for the
   // validity tick (dropping mode); consumed by OnTick.
   FlatMap<SeqNum, ObjectSet> pending_resync_;
-  ActionId::ValueType next_blind_id_ = 1ull << 62;
   bool running_ = false;
-  ProtocolStats stats_;
-  DigestMap committed_digests_;
-  // Positions whose committed result was produced over reordered inputs
-  // (flagged completions): excluded from the serializability audit.
-  // Membership-only (never iterated), so bucket order is unobservable.
-  // seve-lint: allow(det-unordered-container): membership test only
-  std::unordered_set<SeqNum> audit_excluded_;
   std::vector<SeqNum> dropped_positions_;
   // Reusable hot-path scratch (steady-state zero-alloc; route_scratch_
   // growth after Start is charged to fanout.route_alloc).
@@ -230,10 +121,6 @@ class SeveServer : public Node {
   std::vector<ClientTable::Slot> dirty_scratch_;  // flush working set
   std::vector<SeqNum> ready_scratch_;             // per-slot partition
   std::vector<SeqNum> closure_included_;          // AppendClosure walk
-  // Paced catch-up transfers (empty in burst mode and in steady state).
-  std::vector<PendingCatchup> catchups_;
-  bool catchup_timer_armed_ = false;
-  int64_t flush_route_wall_ns_ = 0;
 };
 
 }  // namespace seve

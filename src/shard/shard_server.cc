@@ -3,34 +3,41 @@
 #include <algorithm>
 #include <utility>
 
-#include "action/blind_write.h"
-#include "net/channel.h"
 #include "shard/shard_router.h"
 #include "sync/reconcile.h"
 
 namespace seve {
+namespace {
+
+// This shard's partition of the initial world.
+WorldState PartitionOf(const ShardMap& map, ShardId shard,
+                       const WorldState& initial) {
+  WorldState part;
+  for (const ObjectId id : map.objects_of(shard)) {
+    const Object* obj = initial.Find(id);
+    if (obj != nullptr) part.Upsert(*obj);
+  }
+  return part;
+}
+
+}  // namespace
 
 SeveShardServer::SeveShardServer(NodeId node, EventLoop* loop, ShardId shard,
                                  ShardMap* map, const WorldState& initial,
                                  const InterestModel& interest,
                                  const CostModel& cost,
                                  const SeveOptions& options)
-    : Node(node, loop),
+    : SerializerCore(
+          node, loop, PartitionOf(*map, shard, initial), cost, interest,
+          options,
+          // Blind ids carry the shard in bits 48..: streams never collide
+          // across shards, and they never reach any compared digest
+          // (blind writes are bookkeeping, not evaluated actions).
+          (ActionId::ValueType{1} << 62) +
+              (static_cast<ActionId::ValueType>(shard) << 48)),
       shard_(shard),
       map_(map),
-      interest_(interest),
-      cost_(cost),
-      options_(options),
-      peer_nodes_(static_cast<size_t>(map->shard_count())),
-      // Blind ids carry the shard in bits 48..: streams never collide
-      // across shards, and they never reach any compared digest (blind
-      // writes are bookkeeping, not evaluated actions).
-      next_blind_id_((ActionId::ValueType{1} << 62) +
-                     (static_cast<ActionId::ValueType>(shard) << 48)) {
-  for (const ObjectId id : map->objects_of(shard)) {
-    const Object* obj = initial.Find(id);
-    if (obj != nullptr) state_.Upsert(*obj);
-  }
+      peer_nodes_(static_cast<size_t>(map->shard_count())) {
   // Full ownership view, seeded from the initial partition (before any
   // migration). Kept fresh only for handoffs this shard participates in;
   // the owner-map anti-entropy repairs the rest.
@@ -213,11 +220,7 @@ void SeveShardServer::HandleSubmit(ClientId from, ActionPtr action,
     ++counters_.fast_path;
     std::vector<OrderedAction> batch =
         AssembleBatch(from, pos, included, closure, {}, &cpu);
-    SubmitWork(cpu, [this, dst, batch = std::move(batch)]() {
-      auto body = std::make_shared<DeliverActionsBody>();
-      body->actions = batch;
-      Send(dst, body->WireSize(), body);
-    });
+    SendActions(dst, std::move(batch), cpu);
     return;
   }
 
@@ -288,12 +291,8 @@ std::vector<OrderedAction> SeveShardServer::AssembleBatch(
     // still queued here (the cross-shard stamp-interleaving hazard).
     std::vector<Object> values = state_.Extract(closure);
     values.insert(values.end(), remote_values.begin(), remote_values.end());
-    auto blind = std::make_shared<BlindWrite>(
-        ActionId(next_blind_id_++), loop()->now() / options_.tick_us,
-        std::move(values));
-    ++stats_.blind_writes;
-    batch.push_back(
-        OrderedAction{GlobalStampOf(queue_.begin_pos() - 1), blind});
+    batch.push_back(OrderedAction{GlobalStampOf(queue_.begin_pos() - 1),
+                                  NewBlindWrite(std::move(values))});
     *cpu_cost += cost_.install_us;
   }
   for (const SeqNum p : ordered) {
@@ -301,17 +300,7 @@ std::vector<OrderedAction> SeveShardServer::AssembleBatch(
     // Entries committed since the walk are covered by the head blind
     // write (their writes stayed in the closure set); invalidated ones
     // are aborted no-ops.
-    if (entry == nullptr || !entry->valid) continue;
-    if (entry->completed) {
-      batch.push_back(OrderedAction{
-          GlobalStampOf(p),
-          std::make_shared<BlindWrite>(ActionId(next_blind_id_++),
-                                       loop()->now() / options_.tick_us,
-                                       entry->stable_written)});
-      ++stats_.blind_writes;
-    } else {
-      batch.push_back(OrderedAction{GlobalStampOf(p), entry->action});
-    }
+    if (entry != nullptr && entry->valid) batch.push_back(ShipEntry(*entry));
   }
   batch.push_back(OrderedAction{GlobalStampOf(pos), target->action});
   stats_.closure_size.Add(static_cast<int64_t>(batch.size()));
@@ -434,11 +423,7 @@ void SeveShardServer::RetireToken(SeqNum stamp, ShardId home,
 }
 
 void SeveShardServer::InstallEntry(const ServerQueue::Entry& entry) {
-  state_.ApplyObjects(entry.stable_written);
-  if (audit_excluded_.count(entry.pos) == 0) {
-    committed_digests_[GlobalStampOf(entry.pos)] = entry.stable_digest;
-  }
-  ++stats_.actions_committed;
+  InstallCommitted(entry);
   // Freshen the origin's routing profile from the installed action
   // (push targeting and the migrated record both read it; no protocol
   // state depends on it).
@@ -448,8 +433,7 @@ void SeveShardServer::InstallEntry(const ServerQueue::Entry& entry) {
       clients_.SetProfile(slot, entry.action->Interest(), loop()->now());
     }
   }
-  if (options_.escalated_push && escalated_.count(entry.pos) != 0 &&
-      !entry.stable_written.empty()) {
+  if (escalated_.count(entry.pos) != 0 && !entry.stable_written.empty()) {
     QueueEscalatedPush(entry);
   }
 }
@@ -472,11 +456,8 @@ void SeveShardServer::QueueEscalatedPush(const ServerQueue::Entry& entry) {
   // freshening — the values equal what the origin's completion
   // installed, so server state and committed digests are untouched, and
   // the client's last-writer guard makes re-delivery idempotent.
-  auto blind = std::make_shared<BlindWrite>(
-      ActionId(next_blind_id_++), loop()->now() / options_.tick_us,
-      entry.stable_written);
-  ++stats_.blind_writes;
-  const OrderedAction record{GlobalStampOf(entry.pos), blind};
+  const OrderedAction record{GlobalStampOf(entry.pos),
+                             NewBlindWrite(entry.stable_written)};
   const InterestProfile action_profile = entry.action->Interest();
   const VirtualTime now = loop()->now();
   const ClientTable::Slot origin_slot =
@@ -622,13 +603,7 @@ void SeveShardServer::HandleRejoin(const RejoinBody& rejoin) {
     }
     return;  // neither registered nor expected: stale, drop
   }
-  const NodeId client_node = clients_.node(slot);
-  // Fresh outgoing channel incarnation; queued frames from the dead
-  // conversation stay buried (PR 5 recovery contract).
-  if (ReliableChannel* channel = reliable_channel()) {
-    channel->ResetPeerSend(client_node);
-  }
-  ++stats_.rejoins;
+  ResetClientSession(slot);
   ++epoch_;  // fence: tokens echoing the old epoch are now stale
 
   AbortEscalationsFrom(rejoin.client);
@@ -641,156 +616,48 @@ void SeveShardServer::HandleRejoin(const RejoinBody& rejoin) {
   // cross-shard closure cannot be replayed from a partition snapshot.
   // Invalidate them so the committed frontier keeps advancing. (Peers'
   // tokens were already retired by the commits FinishEscalation sent.)
+  (void)InvalidateUncompleted(rejoin.client, /*escalated_only=*/true);
+}
+
+bool SeveShardServer::InvalidateUncompleted(ClientId client,
+                                            bool escalated_only) {
   for (SeqNum pos = queue_.begin_pos(); pos < queue_.end_pos(); ++pos) {
     ServerQueue::Entry* entry = queue_.Find(pos);
     if (entry == nullptr || !entry->valid || entry->completed) continue;
-    if (entry->action->origin() != rejoin.client) continue;
-    if (escalated_.count(pos) == 0) continue;
+    if (entry->action->origin() != client) continue;
+    if (escalated_only && escalated_.count(pos) == 0) continue;
     queue_.MarkInvalid(pos);
     ++counters_.aborts;
   }
   // An invalidated head may unblock the committed frontier.
   ServerQueue::Entry* head = queue_.Find(queue_.begin_pos());
-  if (head != nullptr && !head->valid) {
-    CompleteAndInstall(head->pos, 0, {});
+  if (head == nullptr || head->valid) return false;
+  CompleteAndInstall(head->pos, 0, {});
+  return true;
+}
+
+bool SeveShardServer::AwaitingAdoption(ClientId client) const {
+  if (clients_.SlotOf(client) != ClientTable::kNoSlot) return false;
+  for (const ExpectedAdoption& expected : expected_adoptions_) {
+    if (expected.client == client) return true;
   }
+  return false;
 }
 
 void SeveShardServer::HandleSnapshotRequest(
     const SnapshotRequestBody& request, NodeId src) {
-  const ClientTable::Slot slot = clients_.SlotOf(request.client);
-  if (slot == ClientTable::kNoSlot) {
-    // Case B parking, same as HandleRejoin: the snapshot must reflect
-    // the adopted record, so it waits for the MigrateCommit.
-    for (const ExpectedAdoption& expected : expected_adoptions_) {
-      if (expected.client != request.client) continue;
-      const SnapshotRequestBody parked = request;
-      loop()->After(options_.tick_us, [this, parked, src]() {
-        HandleSnapshotRequest(parked, src);
-      });
-      return;
-    }
-    SendNack(src, request.client, kSyncModeRejoin);
+  if (AwaitingAdoption(request.client)) {
+    const SnapshotRequestBody parked = request;
+    loop()->After(options_.tick_us, [this, parked, src]() {
+      HandleSnapshotRequest(parked, src);
+    });
     return;
   }
-  const NodeId dst = clients_.node(slot);
-  const SeqNum snapshot_pos = GlobalStampOf(queue_.begin_pos() - 1);
-  const std::vector<ObjectId> ids = state_.ObjectIds();  // sorted
-
-  const int64_t per_chunk =
-      std::max<int64_t>(1, options_.snapshot_chunk_objects);
-  const int64_t total = std::max<int64_t>(
-      1, (static_cast<int64_t>(ids.size()) + per_chunk - 1) / per_chunk);
-
-  std::vector<std::shared_ptr<SnapshotChunkBody>> chunks;
-  chunks.reserve(static_cast<size_t>(total));
-  for (int64_t c = 0; c < total; ++c) {
-    auto body = std::make_shared<SnapshotChunkBody>();
-    body->snapshot_pos = snapshot_pos;
-    body->chunk = c;
-    body->total = total;
-    const size_t begin = static_cast<size_t>(c * per_chunk);
-    const size_t end = std::min(ids.size(),
-                                static_cast<size_t>((c + 1) * per_chunk));
-    for (size_t i = begin; i < end; ++i) {
-      const Object* obj = state_.Find(ids[i]);
-      if (obj != nullptr) body->objects.push_back(*obj);
-    }
-    chunks.push_back(std::move(body));
-  }
-
-  // The live tail rides the final chunk; the included positions are
-  // marked sent only when the chunks actually enter the send path.
-  std::vector<SeqNum> tail_positions;
-  CollectTail(&chunks.back()->tail, &tail_positions);
-
-  stats_.snapshot_chunks += total;
-  const Micros cpu =
-      cost_.serialize_us * static_cast<Micros>(total) + cost_.install_us;
-  const ClientId client = request.client;
-  SubmitWork(cpu, [this, dst, client, chunks = std::move(chunks),
-                   tail_positions = std::move(tail_positions)]() {
-    MarkTailSent(tail_positions, client);
-    for (const auto& chunk : chunks) {
-      Send(dst, chunk->WireSize(), chunk);
-    }
-  });
-}
-
-void SeveShardServer::CollectTail(std::vector<OrderedAction>* tail,
-                                  std::vector<SeqNum>* positions) {
-  // Completed entries ship as blind writes of their stable results; live
-  // single-shard entries ship as actions. Live ESCALATED entries are
-  // withheld: their closures need cross-shard values a partition
-  // snapshot cannot carry, so re-evaluating them here could diverge —
-  // their origins complete them through the normal path.
-  const size_t span =
-      static_cast<size_t>(queue_.end_pos() - queue_.begin_pos());
-  tail->reserve(tail->size() + span);
-  positions->reserve(positions->size() + span);
-  for (SeqNum pos = queue_.begin_pos(); pos < queue_.end_pos(); ++pos) {
-    ServerQueue::Entry* entry = queue_.Find(pos);
-    if (entry == nullptr || !entry->valid) continue;
-    if (!entry->completed && escalated_.count(pos) != 0) continue;
-    positions->push_back(pos);
-    if (entry->completed) {
-      tail->push_back(OrderedAction{
-          GlobalStampOf(pos),
-          std::make_shared<BlindWrite>(ActionId(next_blind_id_++),
-                                       loop()->now() / options_.tick_us,
-                                       entry->stable_written)});
-      ++stats_.blind_writes;
-    } else {
-      tail->push_back(OrderedAction{GlobalStampOf(pos), entry->action});
-    }
-  }
-}
-
-void SeveShardServer::MarkTailSent(const std::vector<SeqNum>& positions,
-                                   ClientId client) {
-  for (const SeqNum pos : positions) {
-    // Positions committed (and GC'd) since capture no longer need a mark.
-    ServerQueue::Entry* entry = queue_.Find(pos);
-    if (entry != nullptr) entry->sent.insert(client);
-  }
-}
-
-void SeveShardServer::SendNack(NodeId dst, ClientId client, uint8_t mode) {
-  // Satellite fix over the seed: a catch-up request from an unknown
-  // client was dropped silently, stranding the requester in rejoining_
-  // forever. Only truly-unknown clients reach here — a reserved adoption
-  // parks the request instead (Case B).
-  ++stats_.sync.nacks;
-  auto body = std::make_shared<SyncNackBody>();
-  body->client = client;
-  body->mode = mode;
-  SubmitWork(cost_.serialize_us, [this, dst, body]() {
-    Send(dst, body->WireSize(), body);
-  });
-}
-
-int64_t SeveShardServer::FullSnapshotBytesEstimate() const {
-  const std::vector<ObjectId> ids = state_.ObjectIds();
-  int64_t object_bytes = 0;
-  for (const ObjectId id : ids) {
-    const Object* obj = state_.Find(id);
-    if (obj != nullptr) object_bytes += obj->WireSize();
-  }
-  const int64_t per_chunk =
-      std::max<int64_t>(1, options_.snapshot_chunk_objects);
-  const int64_t total = std::max<int64_t>(
-      1, (static_cast<int64_t>(ids.size()) + per_chunk - 1) / per_chunk);
-  // Mirror SnapshotChunkBody::WireSize's fixed per-chunk header.
-  return object_bytes + 32 * total;
+  ServeSnapshot(request, src);
 }
 
 void SeveShardServer::HandleSyncRequest(const SyncRequestBody& request,
                                         NodeId src) {
-  sync::SyncSizing sizing;
-  sizing.min_cells = options_.sync_min_cells;
-  sizing.alpha = options_.sync_alpha;
-  sizing.max_cells = options_.sync_max_cells;
-
   if (request.mode == kSyncModeOwnerMap) {
     // Responder side of a shard-pair ring round: estimate the ownership
     // divergence and ask the initiating shard for an IBF sized to it.
@@ -800,64 +667,19 @@ void SeveShardServer::HandleSyncRequest(const SyncRequestBody& request,
         sync::BuildStrata(OwnerSummary()).Estimate(request.strata);
     if (est == 0) {
       ++stats_.sync.ae_rounds;  // views already agree
-      return;
+    } else {
+      RequestIbf(src, request.client, request.mode, est);
     }
-    const int64_t cells = sync::CellsFor(est, sizing);
-    stats_.sync.ibf_cells += cells;
-    auto reply = std::make_shared<SyncIBFRequestBody>();
-    reply->client = request.client;
-    reply->mode = request.mode;
-    reply->cells = cells;
-    SubmitWork(cost_.serialize_us, [this, src, reply]() {
-      Send(src, reply->WireSize(), reply);
+    return;
+  }
+  if (request.mode == kSyncModeRejoin && AwaitingAdoption(request.client)) {
+    const SyncRequestBody parked = request;
+    loop()->After(options_.tick_us, [this, parked, src]() {
+      HandleSyncRequest(parked, src);
     });
     return;
   }
-
-  const ClientTable::Slot slot = clients_.SlotOf(request.client);
-  if (slot == ClientTable::kNoSlot) {
-    if (request.mode == kSyncModeRejoin) {
-      // Case B parking, same as HandleSnapshotRequest: the delta must
-      // reflect the adopted record.
-      for (const ExpectedAdoption& expected : expected_adoptions_) {
-        if (expected.client != request.client) continue;
-        const SyncRequestBody parked = request;
-        loop()->After(options_.tick_us, [this, parked, src]() {
-          HandleSyncRequest(parked, src);
-        });
-        return;
-      }
-    }
-    SendNack(src, request.client, request.mode);
-    return;
-  }
-  ++stats_.sync.sync_rounds;
-  stats_.sync.strata_bytes += request.strata.WireBytes();
-
-  const int64_t est = sync::BuildStrata(state_).Estimate(request.strata);
-  if (est == 0) {
-    // Replica already matches the partition. A rejoin still needs the
-    // live tail and the end-of-catchup signal; an anti-entropy round is
-    // simply done.
-    if (request.mode == kSyncModeRejoin) {
-      ++stats_.sync.delta_rejoins;
-      stats_.sync.full_bytes_estimate += FullSnapshotBytesEstimate();
-      SendDelta(slot, request.client, request.mode, {}, {});
-    } else {
-      ++stats_.sync.ae_rounds;
-    }
-    return;
-  }
-  const int64_t cells = sync::CellsFor(est, sizing);
-  stats_.sync.ibf_cells += cells;
-  auto reply = std::make_shared<SyncIBFRequestBody>();
-  reply->client = request.client;
-  reply->mode = request.mode;
-  reply->cells = cells;
-  const NodeId dst = clients_.node(slot);
-  SubmitWork(cost_.serialize_us, [this, dst, reply]() {
-    Send(dst, reply->WireSize(), reply);
-  });
+  ServeSyncRequest(request, src);
 }
 
 void SeveShardServer::HandleSyncIBFRequest(const SyncIBFRequestBody& request,
@@ -875,57 +697,32 @@ void SeveShardServer::HandleSyncIBFRequest(const SyncIBFRequestBody& request,
 }
 
 void SeveShardServer::HandleSyncIBF(const SyncIBFBody& body, NodeId src) {
-  if (body.mode == kSyncModeOwnerMap) {
-    const sync::KeyDiffPlan plan =
-        sync::PlanKeyDiff(OwnerSummary(), body.ibf);
-    if (!plan.ok) {
-      // A failed round just waits for the next period.
-      ++stats_.sync.decode_failures;
-      return;
-    }
-    std::vector<ObjectId> ids;
-    ids.reserve(plan.keys.size());
-    for (const uint64_t key : plan.keys) ids.push_back(ObjectId(key));
-    stats_.sync.owner_repairs += RepairOwners(ids);
-    ++stats_.sync.ae_rounds;
-    if (ids.empty()) return;
-    // Ship the divergent ids back so the initiator repairs its side from
-    // the authoritative map too.
-    auto reply = std::make_shared<SyncDeltaBody>();
-    reply->client = body.client;
-    reply->mode = body.mode;
-    reply->total = 1;
-    reply->removed = std::move(ids);
-    SubmitWork(cost_.serialize_us, [this, src, reply]() {
-      Send(src, reply->WireSize(), reply);
-    });
+  if (body.mode != kSyncModeOwnerMap) {
+    ServeSyncIBF(body, src);
     return;
   }
-  const ClientTable::Slot slot = clients_.SlotOf(body.client);
-  if (slot == ClientTable::kNoSlot) {
-    SendNack(src, body.client, body.mode);
-    return;
-  }
-  const sync::DeltaPlan plan = sync::PlanDelta(state_, body.ibf);
+  const sync::KeyDiffPlan plan = sync::PlanKeyDiff(OwnerSummary(), body.ibf);
   if (!plan.ok) {
+    // A failed round just waits for the next period.
     ++stats_.sync.decode_failures;
-    if (body.mode == kSyncModeRejoin) {
-      // Deterministic fallback: answer as if the client had asked for
-      // the full partition snapshot.
-      ++stats_.sync.fallbacks;
-      SnapshotRequestBody full;
-      full.client = body.client;
-      HandleSnapshotRequest(full, src);
-    }
     return;
   }
-  if (body.mode == kSyncModeRejoin) {
-    ++stats_.sync.delta_rejoins;
-    stats_.sync.full_bytes_estimate += FullSnapshotBytesEstimate();
-  } else {
-    ++stats_.sync.ae_rounds;
-  }
-  SendDelta(slot, body.client, body.mode, plan.ship, plan.remove);
+  std::vector<ObjectId> ids;
+  ids.reserve(plan.keys.size());
+  for (const uint64_t key : plan.keys) ids.push_back(ObjectId(key));
+  stats_.sync.owner_repairs += RepairOwners(ids);
+  ++stats_.sync.ae_rounds;
+  if (ids.empty()) return;
+  // Ship the divergent ids back so the initiator repairs its side from
+  // the authoritative map too.
+  auto reply = std::make_shared<SyncDeltaBody>();
+  reply->client = body.client;
+  reply->mode = body.mode;
+  reply->total = 1;
+  reply->removed = std::move(ids);
+  SubmitWork(cost_.serialize_us, [this, src, reply]() {
+    Send(src, reply->WireSize(), reply);
+  });
 }
 
 void SeveShardServer::HandleSyncDelta(const SyncDeltaBody& delta,
@@ -936,57 +733,6 @@ void SeveShardServer::HandleSyncDelta(const SyncDeltaBody& delta,
   if (delta.mode != kSyncModeOwnerMap) return;
   SubmitWork(cost_.install_us, []() {});
   stats_.sync.owner_repairs += RepairOwners(delta.removed);
-}
-
-void SeveShardServer::SendDelta(ClientTable::Slot slot, ClientId client,
-                                uint8_t mode,
-                                const std::vector<ObjectId>& ship,
-                                const std::vector<ObjectId>& remove) {
-  const SeqNum snapshot_pos = GlobalStampOf(queue_.begin_pos() - 1);
-  const int64_t per_chunk =
-      std::max<int64_t>(1, options_.snapshot_chunk_objects);
-  const int64_t total = std::max<int64_t>(
-      1, (static_cast<int64_t>(ship.size()) + per_chunk - 1) / per_chunk);
-
-  std::vector<std::shared_ptr<SyncDeltaBody>> chunks;
-  chunks.reserve(static_cast<size_t>(total));
-  for (int64_t c = 0; c < total; ++c) {
-    auto body = std::make_shared<SyncDeltaBody>();
-    body->client = client;
-    body->mode = mode;
-    body->snapshot_pos = snapshot_pos;
-    body->chunk = c;
-    body->total = total;
-    const size_t begin = static_cast<size_t>(c * per_chunk);
-    const size_t end = std::min(ship.size(),
-                                static_cast<size_t>((c + 1) * per_chunk));
-    body->objects.reserve(end - begin);
-    for (size_t i = begin; i < end; ++i) {
-      const Object* obj = state_.Find(ship[i]);
-      if (obj != nullptr) body->objects.push_back(*obj);
-    }
-    chunks.push_back(std::move(body));
-  }
-  chunks.back()->removed = remove;
-
-  std::vector<SeqNum> tail_positions;
-  if (mode == kSyncModeRejoin) {
-    CollectTail(&chunks.back()->tail, &tail_positions);
-  }
-  int64_t delta_bytes = 0;
-  for (const auto& c : chunks) delta_bytes += c->WireSize();
-  stats_.sync.objects_shipped += static_cast<int64_t>(ship.size());
-  stats_.sync.objects_removed += static_cast<int64_t>(remove.size());
-  stats_.sync.delta_bytes += delta_bytes;
-
-  const NodeId dst = clients_.node(slot);
-  const Micros cpu =
-      cost_.serialize_us * static_cast<Micros>(total) + cost_.install_us;
-  SubmitWork(cpu, [this, dst, client, chunks = std::move(chunks),
-                   tail_positions = std::move(tail_positions)]() {
-    MarkTailSent(tail_positions, client);
-    for (const auto& c : chunks) Send(dst, c->WireSize(), c);
-  });
 }
 
 sync::Summary SeveShardServer::OwnerSummary() const {
@@ -1234,11 +980,8 @@ void SeveShardServer::HandleMigrateCommit(const MigrateCommitBody& commit) {
   // evaluation of ours).
   FenceStampsAbove(commit.fence);
   owner_view_[commit.object] = shard_;  // a participant's view stays fresh
-  auto blind = std::make_shared<BlindWrite>(
-      ActionId(next_blind_id_++), loop()->now() / options_.tick_us,
-      commit.value);
-  ++stats_.blind_writes;
-  const SeqNum pos = queue_.Append(blind, loop()->now());
+  const SeqNum pos =
+      queue_.Append(NewBlindWrite(commit.value), loop()->now());
   audit_excluded_.insert(pos);
   ++counters_.migrations_in;
 
@@ -1316,17 +1059,7 @@ void SeveShardServer::HandleMigrateRejoin(const MigrateRejoinBody& rejoin) {
   // escalated or not, nobody will ever complete it (the new incarnation
   // starts from the destination's snapshot). Invalidate it so the drain
   // wait terminates and the handoff can commit.
-  for (SeqNum pos = queue_.begin_pos(); pos < queue_.end_pos(); ++pos) {
-    ServerQueue::Entry* entry = queue_.Find(pos);
-    if (entry == nullptr || !entry->valid || entry->completed) continue;
-    if (entry->action->origin() != rejoin.client) continue;
-    queue_.MarkInvalid(pos);
-    ++counters_.aborts;
-  }
-  ServerQueue::Entry* head = queue_.Find(queue_.begin_pos());
-  if (head != nullptr && !head->valid) {
-    CompleteAndInstall(head->pos, 0, {});
-  } else {
+  if (!InvalidateUncompleted(rejoin.client, /*escalated_only=*/false)) {
     RecheckMigrations();
   }
 }

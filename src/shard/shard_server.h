@@ -7,20 +7,12 @@
 
 #include "action/action.h"
 #include "common/flat_map.h"
-#include "common/metrics.h"
-#include "net/node.h"
-#include "protocol/client_table.h"
-#include "protocol/interest.h"
-#include "protocol/msg.h"
-#include "protocol/options.h"
-#include "protocol/server_queue.h"
+#include "protocol/serializer_core.h"
 #include "shard/shard_commit.h"
 #include "shard/shard_map.h"
 #include "shard/shard_msg.h"
 #include "shard/shard_stats.h"
-#include "store/world_state.h"
 #include "sync/ibf.h"
-#include "world/cost_model.h"
 
 namespace seve {
 
@@ -69,7 +61,13 @@ namespace seve {
 /// offers (MigrateAbort), and a rejoin arriving at the destination
 /// before adoption is parked and forwarded (MigrateRejoin) so the source
 /// can invalidate the crashed client's unfinishable tail and commit.
-class SeveShardServer : public Node {
+///
+/// Client catch-up (snapshot, delta sync, anti-entropy, pacing) is the
+/// shared SerializerCore's, over this shard's partition and in global
+/// stamps; this class adds only Case-B parking of catch-up requests from
+/// clients whose adoption is still in flight, and the owner-map ring
+/// rounds.
+class SeveShardServer : public SerializerCore {
  public:
   SeveShardServer(NodeId node, EventLoop* loop, ShardId shard,
                   ShardMap* map, const WorldState& initial,
@@ -117,25 +115,22 @@ class SeveShardServer : public Node {
   }
 
   ShardId shard() const { return shard_; }
-  /// This shard's partition of ζS (committed prefix only).
-  const WorldState& authoritative() const { return state_; }
-  SeqNum committed_frontier() const { return queue_.begin_pos(); }
-  size_t uncommitted() const { return queue_.uncommitted_size(); }
   /// In-flight escalations (owner side); 0 after a clean drain.
   size_t pending_escalations() const { return pending_.size(); }
   /// Unretired prepare-tokens (peer side); 0 after a clean drain.
   size_t outstanding_tokens() const { return outstanding_.size(); }
 
-  ProtocolStats& stats() { return stats_; }
-  const ProtocolStats& stats() const { return stats_; }
   const ShardCounters& counters() const { return counters_; }
-
-  /// Global stamp -> stable digest of every installed action; ground
-  /// truth for the consistency checker.
-  const DigestMap& committed_digests() const { return committed_digests_; }
 
  protected:
   void OnMessage(const Message& msg) override;
+  /// Wire stamps are global (epoch, shard, seq) stamps.
+  SeqNum WireStamp(SeqNum pos) const override { return GlobalStampOf(pos); }
+  /// Live escalated entries need cross-shard values a partition snapshot
+  /// cannot carry; their origins complete them through the normal path.
+  bool WithholdFromTail(SeqNum pos) const override {
+    return escalated_.count(pos) != 0;
+  }
 
  private:
   /// One outbound handoff on the source shard. The phases gate the
@@ -166,14 +161,16 @@ class SeveShardServer : public Node {
   void HandleSubmit(ClientId from, ActionPtr action, const ObjectSet& resync);
   void HandleCompletion(const CompletionBody& completion);
   void HandleRejoin(const RejoinBody& rejoin);
-  /// `src` is the requesting node: a request from a truly-unknown client
-  /// gets a NACK instead of a silent drop, while a client with a
-  /// reserved adoption is parked exactly like HandleRejoin (Case B).
+  /// Case B of the crash race: `client` is not registered here but has a
+  /// reserved adoption. Its catch-up requests are parked like its rejoin
+  /// (the answer must reflect the adopted record); the core NACKs
+  /// requests from truly-unknown clients.
+  bool AwaitingAdoption(ClientId client) const;
   void HandleSnapshotRequest(const SnapshotRequestBody& request, NodeId src);
   /// ---- Delta sync + anti-entropy (DESIGN.md §15) ---------------------
-  /// Rejoin/AE handshakes from clients homed here run over the partition
-  /// state; kSyncModeOwnerMap rounds from peer shards run over the local
-  /// ownership view (responder side of the ring exchange).
+  /// Rejoin/AE handshakes from clients homed here run in the core over
+  /// the partition state; kSyncModeOwnerMap rounds from peer shards run
+  /// over the local ownership view (responder side of the ring exchange).
   void HandleSyncRequest(const SyncRequestBody& request, NodeId src);
   /// Initiator side of an owner-map round: the responder asked for an
   /// IBF of our ownership view at its estimated difference size.
@@ -230,6 +227,11 @@ class SeveShardServer : public Node {
   /// positions are invalidated.
   void AbortEscalationsFrom(ClientId client);
 
+  /// Invalidates `client`'s uncompleted entries (only the escalated ones
+  /// when `escalated_only`), then completes an invalidated head so the
+  /// committed frontier keeps advancing; returns whether it did.
+  bool InvalidateUncompleted(ClientId client, bool escalated_only);
+
   /// queue_.Complete + the post-install work every call site needs: the
   /// escalated-push flush and the migration drain recheck.
   void CompleteAndInstall(SeqNum pos, ResultDigest digest,
@@ -264,26 +266,7 @@ class SeveShardServer : public Node {
   /// matches any (aborts don't know which token the peer issued).
   void RetireToken(SeqNum stamp, ShardId home, SeqNum token_seq);
 
-  /// ---- Delta sync helpers (DESIGN.md §15) ----------------------------
-  /// Captures the live tail — global stamps, completed entries
-  /// substituted by blind writes, live escalated entries withheld —
-  /// WITHOUT marking anything sent; the positions land in *positions so
-  /// the send closure can mark them when the final chunk actually ships
-  /// (marking at request time loses them when the transfer is
-  /// abandoned).
-  void CollectTail(std::vector<OrderedAction>* tail,
-                   std::vector<SeqNum>* positions);
-  void MarkTailSent(const std::vector<SeqNum>& positions, ClientId client);
-  /// Deterministic refusal for catch-up requests from unknown clients.
-  void SendNack(NodeId dst, ClientId client, uint8_t mode);
-  /// Ships the decoded symmetric difference of the partition to a
-  /// client; rejoin mode appends the live tail to the last chunk.
-  void SendDelta(ClientTable::Slot slot, ClientId client, uint8_t mode,
-                 const std::vector<ObjectId>& ship,
-                 const std::vector<ObjectId>& remove);
-  /// What the legacy partition snapshot would put on the wire — the
-  /// bytes-saved baseline for sync.full_bytes_estimate.
-  int64_t FullSnapshotBytesEstimate() const;
+  /// ---- Owner-map anti-entropy (DESIGN.md §15) ------------------------
   /// The ownership view as reconciliation elements: key = object id,
   /// ver = believed owner. XOR-folded downstream, so FlatMap iteration
   /// order is unobservable.
@@ -295,36 +278,19 @@ class SeveShardServer : public Node {
   void OwnerAeTick();
 
   ShardId shard_;
-  ShardMap* map_;     // shared, owned by the runner; written at commit
-  WorldState state_;  // this shard's partition of ζS
-  InterestModel interest_;
-  CostModel cost_;
-  SeveOptions options_;
-  ServerQueue queue_;
-  // SoA registry shared with the single-server tier; shards only use the
-  // id→slot→node path (profiles stay at their defaults).
-  ClientTable clients_;
+  ShardMap* map_;  // shared, owned by the runner; written at commit
   std::vector<NodeId> peer_nodes_;  // indexed by ShardId
   ShardCommitTable pending_;        // owner-side in-flight escalations
   std::vector<OutstandingToken> outstanding_;  // peer-side issued tokens
   uint64_t epoch_ = 1;        // bumped per rejoin; fences escalations
   SeqNum next_token_seq_ = 0;
-  ActionId::ValueType next_blind_id_;
-  ProtocolStats stats_;
   ShardCounters counters_;
-  DigestMap committed_digests_;  // keyed by global stamp
   // Local positions that went through escalation: their closures need
   // cross-shard values, so they cannot be replayed from a partition
   // snapshot (rejoin sweep + snapshot tail consult this).
   // Membership-only (never iterated), so bucket order is unobservable.
   // seve-lint: allow(det-unordered-container): membership test only
   std::unordered_set<SeqNum> escalated_;
-  // Positions whose committed result was produced over reordered inputs
-  // (flagged completions) or adopted from another shard: excluded from
-  // the serializability audit.
-  // Membership-only (never iterated), so bucket order is unobservable.
-  // seve-lint: allow(det-unordered-container): membership test only
-  std::unordered_set<SeqNum> audit_excluded_;
 
   // ---- Migration state (DESIGN.md §14) -------------------------------
   std::vector<StampSegment> stamp_segments_;  // ascending from_pos

@@ -11,6 +11,11 @@
 
 namespace seve::sync {
 
+/// Default IBF sizing: the cell floor and the safety factor over the
+/// strata estimate.
+constexpr int64_t kSyncMinCells = 64;
+constexpr double kSyncAlpha = 4.0;
+
 /// Filter-sizing policy for the reconciliation handshake. The server
 /// asks the rejoining client for an IBF of CellsFor(estimate) cells.
 /// 3 hashes need ~1.3d cells to peel w.h.p., but the strata estimate
@@ -21,8 +26,8 @@ namespace seve::sync {
 /// cap is how tests force the decode-failure fallback arm
 /// deterministically.
 struct SyncSizing {
-  int64_t min_cells = 64;
-  double alpha = 4.0;
+  int64_t min_cells = kSyncMinCells;
+  double alpha = kSyncAlpha;
   int64_t max_cells = 0;  // 0 = uncapped
 };
 

@@ -21,6 +21,7 @@
 #include "protocol/seve_server.h"
 #include "shard/shard_map.h"
 #include "shard/shard_server.h"
+#include "sim/consistency.h"
 #include "sim/runner.h"
 #include "sim/sweep.h"
 #include "sync/ibf.h"
@@ -201,7 +202,27 @@ struct SyncFixture {
           << ctx << " client " << client->client_id().value();
     }
   }
+
+  void ExpectAuditClean(const char* ctx) {
+    std::vector<const DigestMap*> replicas;
+    for (const auto& client : clients) {
+      replicas.push_back(&client->eval_digests());
+    }
+    const ConsistencyReport audit =
+        CheckDigestConsistency(server->committed_digests(), replicas);
+    EXPECT_GT(audit.compared, 0) << ctx;
+    EXPECT_TRUE(audit.consistent()) << ctx << ": " << audit.ToString();
+  }
 };
+
+// Counters 1..n, one object each.
+WorldState CounterWorld(uint64_t n) {
+  WorldState state;
+  for (uint64_t id = 1; id <= n; ++id) {
+    state.SetAttr(ObjectId(id), 1, Value(int64_t{0}));
+  }
+  return state;
+}
 
 SeveOptions BaseOptions() {
   SeveOptions opts;
@@ -358,28 +379,28 @@ TEST(DeltaSyncFixture, LostTransferRecoversViaRetry) {
   fx.ExpectConverged("lost-transfer");
 }
 
-// Satellite fix: snapshot_chunks_per_tick bounds the per-tick send
-// burst; the paced transfer must converge to the burst transfer's exact
-// state while never exceeding its cap.
+// Catch-up pacing: a snapshot of more than 64 chunks enters the send
+// path at most 64 chunks per tick, with pushes to the rejoiner held back
+// meanwhile, and must end in exactly the state of the same rejoin
+// shipped as one small transfer.
 TEST(DeltaSyncFixture, PacedCatchupBoundsBurstAndConverges) {
-  const WorldState world =
-      CounterState({1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12});
-  SeveOptions opts = BaseOptions();
-  opts.snapshot_chunk_objects = 1;  // 12 chunks per snapshot
+  const WorldState world = CounterWorld(200);
+  SeveOptions opts = BaseOptions();  // 64 objects per chunk: 4 chunks
 
   SyncFixture burst(3, opts, world);
   burst.EnableReliable();
   RunRejoinScript(&burst, 6);
 
-  opts.snapshot_chunks_per_tick = 2;
+  opts.snapshot_chunk_objects = 1;  // 200 chunks per snapshot
   SyncFixture paced(3, opts, world);
   paced.EnableReliable();
   RunRejoinScript(&paced, 6);
 
-  EXPECT_GE(burst.server->stats().sync.max_chunks_per_tick, 12);
-  const int64_t paced_max = paced.server->stats().sync.max_chunks_per_tick;
-  EXPECT_GE(paced_max, 1);
-  EXPECT_LE(paced_max, 2);
+  EXPECT_EQ(burst.server->stats().snapshot_chunks, 4);
+  EXPECT_EQ(burst.server->stats().sync.max_chunks_per_tick, 4);
+  EXPECT_EQ(paced.server->stats().snapshot_chunks, 200);
+  EXPECT_EQ(paced.server->stats().sync.max_chunks_per_tick,
+            SerializerCore::kCatchupChunksPerTick);
 
   EXPECT_EQ(burst.server->authoritative().Digest(),
             paced.server->authoritative().Digest());
@@ -389,6 +410,55 @@ TEST(DeltaSyncFixture, PacedCatchupBoundsBurstAndConverges) {
         << "client " << i;
   }
   paced.ExpectConverged("paced");
+  paced.ExpectAuditClean("paced");
+}
+
+// Regression: a client that crashes again while its paced snapshot is
+// still streaming, then rejoins, must get a whole fresh transfer. The
+// dead incarnation's remaining chunks used to keep pacing out on the new
+// channel incarnation; their final chunk ended the new catch-up with the
+// objects of the chunks sent before the second crash missing, and the
+// real transfer was then ignored.
+TEST(DeltaSyncFixture, CrashDuringPacedCatchupRejoinsWhole) {
+  SeveOptions opts = BaseOptions();
+  opts.snapshot_chunk_objects = 1;  // 300 chunks: five paced ticks
+  SyncFixture fx(3, opts, CounterWorld(300));
+  fx.EnableReliable();
+
+  fx.clients[0]->SubmitLocalAction(
+      std::make_shared<CounterAdd>(ActionId(1), ClientId(0), ObjectId(1), 5,
+                                   ProfileAt({0.0, 0.0}, 10.0)));
+  fx.loop.RunUntil(15'000);
+  fx.clients[0]->Fail();
+  for (uint64_t k = 0; k < 6; ++k) {
+    fx.clients[1]->SubmitLocalAction(std::make_shared<CounterAdd>(
+        ActionId(k + 10), ClientId(1), ObjectId(50 * k + 1),
+        static_cast<int64_t>(k) + 1, ProfileAt({1.0, 0.0}, 10.0)));
+  }
+  fx.loop.RunUntil(400'000);
+  fx.clients[0]->Rejoin();
+  // Crash again right after the first paced batch left the server, and
+  // stay down until it would have landed.
+  while (fx.server->stats().sync.max_chunks_per_tick == 0 &&
+         fx.loop.now() < 600'000) {
+    fx.loop.RunUntil(fx.loop.now() + 1'000);
+  }
+  ASSERT_EQ(fx.server->stats().sync.max_chunks_per_tick,
+            SerializerCore::kCatchupChunksPerTick);
+  fx.clients[0]->Fail();
+  fx.loop.RunUntil(fx.loop.now() + 15'000);
+  fx.clients[0]->Rejoin();
+  fx.loop.RunUntil(900'000);
+  EXPECT_FALSE(fx.clients[0]->rejoining());
+  EXPECT_EQ(fx.server->stats().rejoins, 2);
+  fx.clients[0]->SubmitLocalAction(
+      std::make_shared<CounterAdd>(ActionId(2), ClientId(0), ObjectId(2), 3,
+                                   ProfileAt({0.0, 0.0}, 10.0)));
+  fx.Drain();
+  EXPECT_LE(fx.server->stats().sync.max_chunks_per_tick,
+            SerializerCore::kCatchupChunksPerTick);
+  fx.ExpectConverged("second crash");
+  fx.ExpectAuditClean("second crash");
 }
 
 // Background anti-entropy: with proactive push off, the Incomplete World
@@ -493,6 +563,104 @@ TEST(DeltaSyncShard, OwnerMapAntiEntropyRepairsThirdPartyStaleness) {
   }
   EXPECT_GE(repairs, 1);
   EXPECT_GT(rounds, 0);
+}
+
+// CounterAdd's attribute 1 is kAttrPosition, which places objects in
+// shards; this counter lives in kAttrBumps so objects can carry both.
+class BumpAdd : public Action {
+ public:
+  BumpAdd(ActionId id, ClientId origin, ObjectId target)
+      : Action(id, origin, 0), target_(target), set_({target}) {}
+  const ObjectSet& ReadSet() const override { return set_; }
+  const ObjectSet& WriteSet() const override { return set_; }
+  Result<ResultDigest> Apply(WorldState* state) const override {
+    if (!state->Contains(target_)) return Status::Conflict("missing");
+    const int64_t value = state->GetAttr(target_, kAttrBumps).AsInt() + 1;
+    state->SetAttr(target_, kAttrBumps, Value(value));
+    return static_cast<ResultDigest>(value) ^ (id().value() << 32);
+  }
+  InterestProfile Interest() const override {
+    return ProfileAt({-50.0, 0.0}, 10.0);
+  }
+
+ private:
+  ObjectId target_;
+  ObjectSet set_;
+};
+
+// The sharded tier runs catch-up through the same pacer as the single
+// server: a rejoin into a 100-object partition at one object per chunk
+// ships at most 64 chunks per tick and still catches up exactly.
+TEST(DeltaSyncShard, RejoinIntoLargePartitionIsPaced) {
+  EventLoop loop;
+  Network net(&loop);
+  WorldState initial;
+  for (uint64_t i = 0; i < 200; ++i) {
+    const ObjectId id(i + 1);
+    initial.SetAttr(id, kAttrPosition, Value(Vec2{i < 100 ? -50.0 : 50.0,
+                                                  0.0}));
+    initial.SetAttr(id, kAttrBumps, Value(int64_t{0}));
+  }
+  ShardMap map(AABB{{-100.0, -100.0}, {100.0, 100.0}}, 2, initial);
+  ASSERT_EQ(map.objects_of(0).size(), 100u);
+
+  SeveOptions opts = BaseOptions();
+  opts.proactive_push = false;  // the sharded tier's protocol
+  opts.snapshot_chunk_objects = 1;
+  const InterestModel interest(10.0, kRtt, opts.omega);
+  std::vector<std::unique_ptr<SeveShardServer>> shards;
+  for (ShardId s = 0; s < 2; ++s) {
+    shards.push_back(std::make_unique<SeveShardServer>(
+        ShardServerNode(s), &loop, s, &map, initial, interest, CostModel{},
+        opts));
+    net.AddNode(shards.back().get());
+  }
+  net.ConnectBidirectional(ShardServerNode(0), ShardServerNode(1),
+                           LinkParams::LatencyOnly(kLatency));
+  for (auto& shard : shards) {
+    for (ShardId s = 0; s < 2; ++s) shard->RegisterPeer(s, ShardServerNode(s));
+  }
+  SeveShardServer& home = *shards[0];
+  std::vector<std::unique_ptr<SeveClient>> clients;
+  for (uint64_t i = 0; i < 2; ++i) {
+    auto client = std::make_unique<SeveClient>(
+        NodeId(i + 1), &loop, ClientId(i), ShardServerNode(0), initial,
+        [](const Action&, const WorldState&) -> Micros { return 100; }, 10,
+        opts);
+    net.AddNode(client.get());
+    net.ConnectBidirectional(ShardServerNode(0), client->id(),
+                             LinkParams::LatencyOnly(kLatency));
+    home.RegisterClient(ClientId(i), client->id(), ObjectId(i + 1),
+                        ProfileAt({-50.0, 0.0}, 10.0));
+    clients.push_back(std::move(client));
+  }
+
+  clients[0]->SubmitLocalAction(
+      std::make_shared<BumpAdd>(ActionId(1), ClientId(0), ObjectId(1)));
+  loop.RunUntil(15'000);
+  clients[0]->Fail();
+  for (uint64_t k = 0; k < 6; ++k) {
+    clients[1]->SubmitLocalAction(std::make_shared<BumpAdd>(
+        ActionId(k + 10), ClientId(1), ObjectId(10 * k + 2)));
+  }
+  loop.RunUntil(400'000);
+  clients[0]->Rejoin();
+  loop.RunUntil(800'000);
+  EXPECT_FALSE(clients[0]->rejoining());
+  loop.RunUntilIdle(1'000'000);
+
+  EXPECT_EQ(home.stats().rejoins, 1);
+  EXPECT_EQ(home.stats().snapshot_chunks, 100);
+  EXPECT_GE(home.stats().sync.max_chunks_per_tick, 1);
+  EXPECT_LE(home.stats().sync.max_chunks_per_tick,
+            SerializerCore::kCatchupChunksPerTick);
+  // The rejoined replica is exactly the home partition.
+  EXPECT_EQ(clients[0]->stable().Digest(), home.authoritative().Digest());
+  const ConsistencyReport audit = CheckDigestConsistency(
+      home.committed_digests(),
+      {&clients[0]->eval_digests(), &clients[1]->eval_digests()});
+  EXPECT_GT(audit.compared, 0);
+  EXPECT_TRUE(audit.consistent()) << audit.ToString();
 }
 
 // ---------------------------------------------------------------------
