@@ -133,18 +133,31 @@ void BM_GridIndexCollectCircle(benchmark::State& state) {
 }
 BENCHMARK(BM_GridIndexCollectCircle);
 
+// Evaluations of one move: the optimistic one plus ~6.3 by other replicas
+// on perfbench's paper_table1. The Repeated variants below replay each
+// query this many times in a row, so six of every seven iterations are
+// memo hits, and report the mean cost per evaluation. The plain variants
+// draw a fresh query every iteration, so no query repeats and they time
+// the memo-miss path: the kernel plus the memo's lookup and store.
+constexpr int kEvalsPerMove = 7;
+
 // The Table-I visible-wall count: 100k walls, the cost model's wall-check
 // radius (visibility 30 x 1.9), a fresh center from the Rng per query so
-// the scan cannot settle into one cache-warm neighbourhood.
-void BM_WallCountNear(benchmark::State& state) {
+// the scan cannot settle into one cache-warm neighbourhood; each center
+// is queried `replays` times in a row.
+void WallCountNear(benchmark::State& state, int replays) {
   Rng gen(5);
   const auto field = WallField::Generate(
       AABB{{0.0, 0.0}, {1000.0, 1000.0}}, 100000, 10.0, &gen);
   Rng rng(6);
+  Vec2 center;
+  int replays_left = 0;
   int64_t walls = 0;
   for (auto _ : state) {
-    const Vec2 center{rng.NextDouble(0.0, 1000.0),
-                      rng.NextDouble(0.0, 1000.0)};
+    if (replays_left-- == 0) {
+      center = {rng.NextDouble(0.0, 1000.0), rng.NextDouble(0.0, 1000.0)};
+      replays_left = replays - 1;
+    }
     const int count = field->CountNear(center, 30.0 * 1.9);
     benchmark::DoNotOptimize(count);
     walls += count;
@@ -153,29 +166,45 @@ void BM_WallCountNear(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(walls),
                          benchmark::Counter::kAvgIterations);
 }
+void BM_WallCountNear(benchmark::State& state) { WallCountNear(state, 1); }
 BENCHMARK(BM_WallCountNear);
+void BM_WallCountNearRepeated(benchmark::State& state) {
+  WallCountNear(state, kEvalsPerMove);
+}
+BENCHMARK(BM_WallCountNearRepeated);
 
 // The per-move collision sweep: a Table-I step (speed 10 x 300 ms) of an
-// avatar of radius 0.5 along a random axis heading.
-void BM_WallFirstHit(benchmark::State& state) {
+// avatar of radius 0.5 along a random axis heading; each sweep is queried
+// `replays` times in a row.
+void WallFirstHit(benchmark::State& state, int replays) {
   Rng gen(5);
   const auto field = WallField::Generate(
       AABB{{0.0, 0.0}, {1000.0, 1000.0}}, 100000, 10.0, &gen);
   const Vec2 headings[] = {{1.0, 0.0}, {-1.0, 0.0}, {0.0, 1.0}, {0.0, -1.0}};
   Rng rng(7);
+  Vec2 start;
+  Vec2 heading;
+  int replays_left = 0;
   int64_t hits = 0;
   for (auto _ : state) {
-    const Vec2 start{rng.NextDouble(0.0, 1000.0),
-                     rng.NextDouble(0.0, 1000.0)};
-    const auto hit =
-        field->FirstHit(start, headings[rng.NextBounded(4)], 3.0, 0.5);
+    if (replays_left-- == 0) {
+      start = {rng.NextDouble(0.0, 1000.0), rng.NextDouble(0.0, 1000.0)};
+      heading = headings[rng.NextBounded(4)];
+      replays_left = replays - 1;
+    }
+    const auto hit = field->FirstHit(start, heading, 3.0, 0.5);
     benchmark::DoNotOptimize(hit);
     hits += hit.has_value() ? 1 : 0;
   }
   state.counters["hit_frac"] = benchmark::Counter(
       static_cast<double>(hits), benchmark::Counter::kAvgIterations);
 }
+void BM_WallFirstHit(benchmark::State& state) { WallFirstHit(state, 1); }
 BENCHMARK(BM_WallFirstHit);
+void BM_WallFirstHitRepeated(benchmark::State& state) {
+  WallFirstHit(state, kEvalsPerMove);
+}
+BENCHMARK(BM_WallFirstHitRepeated);
 
 void BM_MoveEvaluation(benchmark::State& state) {
   WorldConfig cfg;

@@ -87,12 +87,7 @@ RunReport RunScenario(Architecture arch, const Scenario& scenario_in) {
   ActionCostFn cost_fn = [&s, &world](const Action& action,
                                       const WorldState& view) -> Micros {
     if (s.fixed_move_cost_us.has_value()) return *s.fixed_move_cost_us;
-    const Vec2 pos = action.Interest().position;
-    const int walls = world.CountWallsNear(
-        pos, s.world.visibility * s.cost.wall_check_radius_factor);
-    const int avatars = world.CountAvatarsNear(view, pos, s.world.visibility,
-                                               ObjectId::Invalid());
-    return s.cost.MoveCost(walls, avatars);
+    return world.MoveCostAt(view, action.Interest().position, s.cost);
   };
 
   const LinkParams link = MakeLink(s);

@@ -114,6 +114,14 @@ class WorldState {
     });
   }
 
+  /// Calls fn(id, object) for every object, in hash-table order (callers
+  /// needing a canonical order must sort). One pass over the table: no
+  /// per-id hash probe.
+  template <typename Fn>
+  void ForEachObject(Fn&& fn) const {
+    objects_.ForEach(fn);
+  }
+
   std::string ToString() const;
 
  private:

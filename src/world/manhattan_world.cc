@@ -22,6 +22,22 @@ Vec2 AxisAlignedDirection(Rng* rng) {
   }
 }
 
+// Calls fn(id) for every avatar of `state` other than `exclude` whose
+// position lies within `range` of `pos`. Avatars are the ids
+// AvatarId(0..num_avatars-1); other objects are skipped. One pass over
+// the state's objects instead of one lookup per avatar id.
+template <typename Fn>
+void ForEachAvatarNear(const WorldState& state, int num_avatars, Vec2 pos,
+                       double range, ObjectId exclude, Fn&& fn) {
+  const uint64_t last = static_cast<uint64_t>(std::max(num_avatars, 0));
+  state.ForEachObject([&](ObjectId id, const Object& obj) {
+    if (id == exclude || id.value() < 1 || id.value() > last) return;
+    if (DistanceSq(obj.Get(kAttrPosition).AsVec2(), pos) <= range * range) {
+      fn(id);
+    }
+  });
+}
+
 }  // namespace
 
 ManhattanWorld::ManhattanWorld(const WorldConfig& config, uint64_t seed)
@@ -111,16 +127,8 @@ std::shared_ptr<const MoveAction> ManhattanWorld::MakeMove(
   const double declare_range = config_.move_effect_range;
   ObjectSet read_set({avatar});
   if (!config_.sparse_reads) {
-    for (int i = 0; i < config_.num_avatars; ++i) {
-      const ObjectId other = AvatarId(i);
-      if (other == avatar) continue;
-      const Object* obj = view.Find(other);
-      if (obj == nullptr) continue;
-      if (DistanceSq(obj->Get(kAttrPosition).AsVec2(), pos) <=
-          declare_range * declare_range) {
-        read_set.Insert(other);
-      }
-    }
+    ForEachAvatarNear(view, config_.num_avatars, pos, declare_range, avatar,
+                      [&read_set](ObjectId other) { read_set.Insert(other); });
   }
 
   InterestProfile interest;
@@ -137,15 +145,8 @@ std::shared_ptr<const MoveAction> ManhattanWorld::MakeMove(
 int ManhattanWorld::CountAvatarsNear(const WorldState& state, Vec2 pos,
                                      double range, ObjectId exclude) const {
   int count = 0;
-  for (int i = 0; i < config_.num_avatars; ++i) {
-    const ObjectId id = AvatarId(i);
-    if (id == exclude) continue;
-    const Object* obj = state.Find(id);
-    if (obj == nullptr) continue;
-    if (DistanceSq(obj->Get(kAttrPosition).AsVec2(), pos) <= range * range) {
-      ++count;
-    }
-  }
+  ForEachAvatarNear(state, config_.num_avatars, pos, range, exclude,
+                    [&count](ObjectId) { ++count; });
   return count;
 }
 
@@ -155,7 +156,8 @@ int ManhattanWorld::CountWallsNear(Vec2 pos, double range) const {
 
 Micros ManhattanWorld::MoveCostAt(const WorldState& view, Vec2 pos,
                                   const CostModel& cost) const {
-  const int visible_walls = CountWallsNear(pos, config_.visibility);
+  const int visible_walls =
+      CountWallsNear(pos, config_.visibility * cost.wall_check_radius_factor);
   const int visible_avatars =
       CountAvatarsNear(view, pos, config_.visibility, ObjectId::Invalid());
   return cost.MoveCost(visible_walls, visible_avatars);

@@ -95,8 +95,9 @@ class ManhattanWorld {
   /// Walls within `range` of `pos`.
   int CountWallsNear(Vec2 pos, double range) const;
 
-  /// CPU cost of evaluating one move submitted at `pos` given `view`
-  /// (visible walls and avatars priced by `cost`).
+  /// CPU cost of evaluating one move submitted at `pos` given `view`:
+  /// walls within visibility × `cost.wall_check_radius_factor` and
+  /// avatars within visibility, priced by `cost`.
   Micros MoveCostAt(const WorldState& view, Vec2 pos,
                     const CostModel& cost) const;
 

@@ -1,6 +1,7 @@
 #include "world/wall.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -24,6 +25,34 @@ struct AxisGap {
 
 AxisGap GapTo(double c, double lo, double hi) {
   return {std::max({lo - c, c - hi, 0.0}), std::max(c - lo, hi - c)};
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Slot of a memo key in a power-of-two table: the key words folded by
+// multiply-xor, then the murmur3 finalizer so every argument bit can
+// reach the slot index.
+template <size_t N>
+size_t SlotOf(const std::array<uint64_t, N>& key, size_t slots) {
+  uint64_t h = 0;
+  for (const uint64_t k : key) h = (h ^ k) * 0x9e3779b97f4a7c15ULL;
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  return static_cast<size_t>(h & (slots - 1));
+}
+
+// The answer for `key`: the slot's stored result when it holds exactly
+// this key, otherwise compute() stored over whatever the slot held.
+template <typename Slot, typename Key, typename Compute>
+auto Memoized(std::vector<Slot>& memo, const Key& key, Compute&& compute) {
+  Slot& slot = memo[SlotOf(key, memo.size())];
+  if (!slot.used || slot.key != key) {
+    slot.result = compute();
+    slot.key = key;
+    slot.used = true;
+  }
+  return slot.result;
 }
 
 }  // namespace
@@ -90,6 +119,9 @@ void WallField::BuildLayout() {
     cell_segments_[slot] = walls_[i].segment;
     cell_wall_ids_[slot] = static_cast<uint32_t>(i);
   }
+
+  count_memo_.assign(kMemoSlots, {});
+  hit_memo_.assign(kMemoSlots, {});
 }
 
 int WallField::CellX(double x) const {
@@ -111,6 +143,24 @@ double WallField::Margin(Vec2 center, double radius) const {
 }
 
 int WallField::CountNear(Vec2 center, double radius) const {
+  return Memoized(count_memo_,
+                  std::array<uint64_t, 3>{Bits(center.x), Bits(center.y),
+                                          Bits(radius)},
+                  [&] { return CountNearKernel(center, radius); });
+}
+
+std::optional<std::pair<double, size_t>> WallField::FirstHit(
+    Vec2 start, Vec2 dir, double max_dist, double radius) const {
+  return Memoized(hit_memo_,
+                  std::array<uint64_t, 6>{Bits(start.x), Bits(start.y),
+                                          Bits(dir.x), Bits(dir.y),
+                                          Bits(max_dist), Bits(radius)},
+                  [&] {
+                    return FirstHitKernel(start, dir, max_dist, radius);
+                  });
+}
+
+int WallField::CountNearKernel(Vec2 center, double radius) const {
   // A wall touches the circle if its midpoint lies inside it, and cannot
   // if its midpoint lies farther than radius + max_half_length_. So a
   // cell wholly within `inner` of the center is counted in bulk, a cell
@@ -168,8 +218,9 @@ int WallField::CountNear(Vec2 center, double radius) const {
   return count;
 }
 
-std::optional<std::pair<double, size_t>> WallField::FirstHit(
-    Vec2 start, Vec2 dir, double max_dist, double radius) const {
+WallField::HitResult WallField::FirstHitKernel(Vec2 start, Vec2 dir,
+                                              double max_dist,
+                                              double radius) const {
   // Query the swept corridor's bounding box, inflated by the radius. A
   // wall overlapping it has its midpoint within max_half_length_ of it.
   const Vec2 end = start + dir * max_dist;

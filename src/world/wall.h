@@ -1,6 +1,7 @@
 #ifndef SEVE_WORLD_WALL_H_
 #define SEVE_WORLD_WALL_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -32,6 +33,20 @@ struct Wall {
 /// crosses. `CountNear` adds whole runs of cells that lie inside the
 /// circle with one offset subtraction and tests segments only in the
 /// cells on the circle's rim.
+///
+/// Memo: every replica that evaluates a move asks the same two questions
+/// at the same position, so each query keeps a fixed direct-mapped table
+/// of its recent answers (kMemoSlots slots, allocated once by Generate).
+/// The key is the exact bit pattern of every argument and the walls never
+/// change, so a query is a pure function of its key: a hit returns what
+/// the kernel would compute, bit for bit, including FirstHit's "no hit"
+/// and its lowest-index tie winner. A miss runs the kernel and overwrites
+/// the slot. Keys that differ only in the sign of a zero or in a NaN's
+/// payload are distinct keys, each computed by the kernel.
+///
+/// Contract: the field is logically immutable, but the memo makes its
+/// const queries write. One field belongs to one run (one ManhattanWorld)
+/// and is never queried from two threads at once.
 class WallField {
  public:
   /// Generates `count` axis-aligned walls of `wall_length`, uniformly
@@ -47,18 +62,38 @@ class WallField {
 
   /// Number of walls within `radius` of `center` — the "visible walls"
   /// count driving per-move CPU cost. Exactly the number of walls for
-  /// which CircleIntersectsSegment(center, radius, wall) holds.
+  /// which CircleIntersectsSegment(center, radius, wall) holds. Memoized.
   int CountNear(Vec2 center, double radius) const;
 
   /// First wall hit by a circle of `radius` moving from `start` along
   /// `dir` for `max_dist`; returns (travel distance, wall index). Among
-  /// walls hit at the same distance, the lowest index wins.
+  /// walls hit at the same distance, the lowest index wins. Memoized.
   std::optional<std::pair<double, size_t>> FirstHit(Vec2 start, Vec2 dir,
                                                     double max_dist,
                                                     double radius) const;
 
  private:
+  using HitResult = std::optional<std::pair<double, size_t>>;
+
+  /// Memo table size per query; a power of two. Small on purpose: at
+  /// this size ~96% of paper_table1's counts already hit (EXPERIMENTS.md,
+  /// "Host clock — wall-query memo"); more slots only cost memory.
+  static constexpr size_t kMemoSlots = 1024;
+
+  /// One memo entry: the argument bits and the answer computed for them.
+  template <size_t N, typename Result>
+  struct MemoSlot {
+    std::array<uint64_t, N> key{};
+    Result result{};
+    bool used = false;
+  };
+
   explicit WallField(const AABB& bounds) : bounds_(bounds) {}
+
+  /// The uncached kernels behind CountNear / FirstHit.
+  int CountNearKernel(Vec2 center, double radius) const;
+  HitResult FirstHitKernel(Vec2 start, Vec2 dir, double max_dist,
+                           double radius) const;
 
   /// Bins `walls_` into the cell layout; the last step of Generate.
   void BuildLayout();
@@ -82,6 +117,10 @@ class WallField {
   std::vector<uint32_t> cell_begin_;    // nx_ * ny_ + 1 offsets
   std::vector<Segment> cell_segments_;  // walls in cell order
   std::vector<uint32_t> cell_wall_ids_; // index into walls_, per slot
+
+  // kMemoSlots entries each, sized once in BuildLayout.
+  mutable std::vector<MemoSlot<3, int>> count_memo_;
+  mutable std::vector<MemoSlot<6, HitResult>> hit_memo_;
 };
 
 }  // namespace seve

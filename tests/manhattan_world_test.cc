@@ -1,5 +1,7 @@
 #include "world/manhattan_world.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "world/attrs.h"
@@ -135,6 +137,92 @@ TEST(ManhattanWorldTest, CountAvatarsNearExcludes) {
   EXPECT_EQ(with_self, without_self + 1);
 }
 
+// The per-id loop the one-pass scan replaced: the reference for
+// CountAvatarsNear and MakeMove's read set.
+std::vector<ObjectId> AvatarsNearByIdLoop(const ManhattanWorld& world,
+                                          const WorldState& state, Vec2 pos,
+                                          double range, ObjectId exclude) {
+  std::vector<ObjectId> near;
+  for (int i = 0; i < world.config().num_avatars; ++i) {
+    const ObjectId id = ManhattanWorld::AvatarId(i);
+    if (id == exclude) continue;
+    const Object* obj = state.Find(id);
+    if (obj == nullptr) continue;
+    if (DistanceSq(obj->Get(kAttrPosition).AsVec2(), pos) <= range * range) {
+      near.push_back(id);
+    }
+  }
+  return near;
+}
+
+TEST(ManhattanWorldTest, OnePassAvatarScanMatchesPerIdLoop) {
+  WorldConfig cfg = SmallConfig();
+  cfg.bounds = AABB{{0.0, 0.0}, {60.0, 60.0}};
+  cfg.num_avatars = 40;
+  cfg.spawn.pattern = SpawnConfig::Pattern::kUniform;
+  cfg.move_effect_range = 12.0;
+  ManhattanWorld world(cfg, 9);
+
+  // Variants of the initial state: as built; with avatars missing; with
+  // extra objects, at avatar positions, whose ids lie past num_avatars
+  // (and id 0, which no avatar has); and both together.
+  WorldState missing = world.InitialState();
+  for (int i = 0; i < cfg.num_avatars; i += 3) {
+    ASSERT_TRUE(missing.Remove(ManhattanWorld::AvatarId(i)).ok());
+  }
+  WorldState extra = world.InitialState();
+  for (int i = 0; i < cfg.num_avatars; ++i) {
+    const Value& pos = extra.GetAttr(ManhattanWorld::AvatarId(i),
+                                     kAttrPosition);
+    extra.SetAttr(ObjectId(static_cast<uint64_t>(cfg.num_avatars + 1 + i)),
+                  kAttrPosition, pos);
+  }
+  extra.SetAttr(ObjectId(0), kAttrPosition, Value(Vec2{30.0, 30.0}));
+  WorldState both = missing;
+  both.ApplyObjects(extra.Extract(ObjectSet(extra.ObjectIds())));
+  for (int i = 0; i < cfg.num_avatars; i += 3) {
+    ASSERT_TRUE(both.Remove(ManhattanWorld::AvatarId(i)).ok());
+  }
+  ASSERT_GT(both.size(), missing.size());
+
+  const WorldState* states[] = {&world.InitialState(), &missing, &extra,
+                                &both};
+  Rng rng(10);
+  int crowded = 0;
+  for (const WorldState* state : states) {
+    for (int q = 0; q < 200; ++q) {
+      const Vec2 pos{rng.NextDouble(-5.0, 65.0), rng.NextDouble(-5.0, 65.0)};
+      const double range = rng.NextDouble(0.0, 25.0);
+      // Excluded: none, an avatar, or an id past the last avatar.
+      const uint64_t pick =
+          rng.NextBounded(static_cast<uint64_t>(cfg.num_avatars + 2));
+      const ObjectId exclude =
+          q % 3 == 0 ? ObjectId::Invalid()
+                     : ManhattanWorld::AvatarId(static_cast<int>(pick));
+      const std::vector<ObjectId> want =
+          AvatarsNearByIdLoop(world, *state, pos, range, exclude);
+      ASSERT_EQ(world.CountAvatarsNear(*state, pos, range, exclude),
+                static_cast<int>(want.size()))
+          << "query " << q;
+      if (want.size() > 1) ++crowded;
+    }
+    // MakeMove's read set: the mover plus every other avatar within the
+    // effect range of its position in the view.
+    for (int i = 0; i < cfg.num_avatars; ++i) {
+      const ObjectId mover = ManhattanWorld::AvatarId(i);
+      if (!state->Contains(mover)) continue;
+      auto move = world.MakeMove(ActionId(1), ClientId(0), i, 0, *state,
+                                 300000);
+      std::vector<ObjectId> want = AvatarsNearByIdLoop(
+          world, *state, state->GetAttr(mover, kAttrPosition).AsVec2(),
+          cfg.move_effect_range, mover);
+      want.push_back(mover);
+      EXPECT_EQ(move->ReadSet(), ObjectSet(want)) << "mover " << i;
+    }
+  }
+  EXPECT_GT(crowded, 100);
+}
+
 TEST(ManhattanWorldTest, MoveCostGrowsWithWallDensity) {
   WorldConfig sparse = SmallConfig();
   sparse.num_walls = 10;
@@ -144,9 +232,31 @@ TEST(ManhattanWorldTest, MoveCostGrowsWithWallDensity) {
   ManhattanWorld dense_world(dense, 1);
   CostModel cost;
   const Vec2 center{100.0, 100.0};
-  EXPECT_GT(dense_world.MoveCostAt(dense_world.InitialState(), center, cost),
+  const WorldState& view = dense_world.InitialState();
+  EXPECT_GT(dense_world.MoveCostAt(view, center, cost),
             sparse_world.MoveCostAt(sparse_world.InitialState(), center,
                                     cost));
+
+  // Walls are priced out to visibility x wall_check_radius_factor, the
+  // radius the simulator charges; avatars out to visibility.
+  const double visibility = dense.visibility;
+  const int avatars =
+      dense_world.CountAvatarsNear(view, center, visibility,
+                                   ObjectId::Invalid());
+  for (const double factor : {1.0, 1.9, 2.5}) {
+    cost.wall_check_radius_factor = factor;
+    EXPECT_EQ(dense_world.MoveCostAt(view, center, cost),
+              cost.MoveCost(
+                  dense_world.CountWallsNear(center, visibility * factor),
+                  avatars))
+        << "factor " << factor;
+  }
+  CostModel narrow;
+  narrow.wall_check_radius_factor = 1.0;
+  CostModel wide;
+  wide.wall_check_radius_factor = 1.9;
+  EXPECT_GT(dense_world.MoveCostAt(view, center, wide),
+            dense_world.MoveCostAt(view, center, narrow));
 }
 
 TEST(CostModelTest, MoveCostFormula) {

@@ -4,6 +4,7 @@
 #include <limits>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -193,6 +194,165 @@ TEST(WallFieldEquivalenceTest, FirstHitTieGoesToLowestIndex) {
     if (touching > 1) ++ties;
   }
   EXPECT_GT(ties, 100);
+}
+
+// ---- Memo: every answer equals the uncached brute force ------------------
+
+// Compares one CountNear answer against the brute-force count.
+void ExpectCount(const WallField& field, Vec2 center, double radius,
+                 const char* what) {
+  ASSERT_EQ(field.CountNear(center, radius),
+            BruteCount(field, center, radius))
+      << what << " center (" << center.x << ", " << center.y << ") radius "
+      << radius;
+}
+
+// Compares one FirstHit answer (hit or not, distance, wall) against brute
+// force.
+void ExpectHit(const WallField& field, Vec2 start, Vec2 dir, double max_dist,
+               double radius, const char* what) {
+  const auto got = field.FirstHit(start, dir, max_dist, radius);
+  const auto want = BruteFirstHit(field, start, dir, max_dist, radius);
+  ASSERT_EQ(got, want) << what << " start (" << start.x << ", " << start.y
+                       << ") dir (" << dir.x << ", " << dir.y
+                       << ") max_dist " << max_dist << " radius " << radius;
+}
+
+TEST(WallFieldMemoTest, RepeatedQueriesMatchFirstCallAndBruteForce) {
+  Rng gen(51);
+  auto field = WallField::Generate(Bounds(), 20000, 10.0, &gen);
+  Rng rng(52);
+  for (int q = 0; q < 200; ++q) {
+    const Vec2 center = PickPoint(&rng, Bounds());
+    const double radius = PickRadius(&rng, q);
+    const int first = field->CountNear(center, radius);
+    ASSERT_EQ(first, BruteCount(*field, center, radius)) << "query " << q;
+    const Vec2 dir{1.0, 0.0};
+    const auto first_hit = field->FirstHit(center, dir, 25.0, 0.5);
+    ASSERT_EQ(first_hit, BruteFirstHit(*field, center, dir, 25.0, 0.5))
+        << "query " << q;
+    // Seven evaluations per move: each repeat is a memo hit.
+    for (int r = 0; r < 7; ++r) {
+      ASSERT_EQ(field->CountNear(center, radius), first) << "query " << q;
+      ASSERT_EQ(field->FirstHit(center, dir, 25.0, 0.5), first_hit)
+          << "query " << q;
+    }
+  }
+}
+
+TEST(WallFieldMemoTest, CollisionsAndEvictionsStayExact) {
+  // Far more distinct keys than memo slots, each interleaved with a
+  // re-query of an earlier key: some re-queries hit, the rest find their
+  // slot taken by a colliding key and recompute. Every answer is checked
+  // against brute force one by one. A sparse field keeps the brute-force
+  // reference cheap enough for tens of thousands of queries.
+  Rng gen(61);
+  auto field = WallField::Generate(Bounds(), 400, 40.0, &gen);
+  Rng rng(62);
+  struct Query {
+    Vec2 center;
+    double radius;
+    Vec2 dir;
+    double max_dist;
+  };
+  std::vector<Query> seen;
+  for (int q = 0; q < 20000; ++q) {
+    Query fresh{PickPoint(&rng, Bounds()), PickRadius(&rng, q), {},
+                rng.NextDouble(0.0, 120.0)};
+    const double angle = rng.NextDouble(0.0, 6.283185307179586);
+    fresh.dir = Vec2{std::cos(angle), std::sin(angle)};
+    seen.push_back(fresh);
+    ExpectCount(*field, fresh.center, fresh.radius, "fresh");
+    ExpectHit(*field, fresh.center, fresh.dir, fresh.max_dist, 1.0, "fresh");
+    // Recent keys mostly still sit in their slot; old ones were evicted.
+    const size_t back = q % 2 == 0
+                            ? rng.NextBounded(std::min<size_t>(seen.size(), 8))
+                            : rng.NextBounded(seen.size());
+    const Query& again = seen[seen.size() - 1 - back];
+    ExpectCount(*field, again.center, again.radius, "again");
+    ExpectHit(*field, again.center, again.dir, again.max_dist, 1.0, "again");
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(WallFieldMemoTest, SameCenterOtherRadiusOrDistanceIsANewKey) {
+  // Keys that differ in one argument only: the same centre with 3000
+  // radii, the same sweep with 3000 max_dists, and so on for every other
+  // argument. 3000 keys in 1024 slots must share slots, so a memo that
+  // compared only part of its key would return a neighbour's answer. A
+  // sparse field keeps the brute-force reference cheap; two passes make
+  // the second one meet whatever the first left in each slot.
+  Rng gen(71);
+  auto field = WallField::Generate(Bounds(), 300, 40.0, &gen);
+  constexpr int kKeys = 3000;
+  const Vec2 center{500.0, 500.0};
+  const Vec2 dir{0.6, 0.8};
+  auto step = [](int i, double lo, double hi) {
+    return lo + (hi - lo) * static_cast<double>(i) / kKeys;
+  };
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int i = 0; i < kKeys; ++i) {
+      ExpectCount(*field, center, step(i, 0.0, 300.0), "radius");
+      ExpectCount(*field, {step(i, 0.0, 1000.0), center.y}, 40.0, "x");
+      ExpectCount(*field, {center.x, step(i, 0.0, 1000.0)}, 40.0, "y");
+      ExpectHit(*field, center, dir, step(i, 0.0, 400.0), 1.0, "max_dist");
+      ExpectHit(*field, center, dir, 200.0, step(i, 0.0, 30.0), "radius");
+      ExpectHit(*field, {step(i, 0.0, 1000.0), center.y}, dir, 200.0, 1.0,
+                "start.x");
+      ExpectHit(*field, {center.x, step(i, 0.0, 1000.0)}, dir, 200.0, 1.0,
+                "start.y");
+      ExpectHit(*field, center, {step(i, -1.0, 1.0), 0.8}, 200.0, 1.0,
+                "dir.x");
+      ExpectHit(*field, center, {0.6, step(i, -1.0, 1.0)}, 200.0, 1.0,
+                "dir.y");
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(WallFieldMemoTest, CachedNoHitAndTieWinner) {
+  Rng gen(41);
+  auto field = WallField::Generate(Bounds(), 100000, 10.0, &gen);
+  Rng rng(42);
+  int ties = 0;
+  int misses = 0;
+  for (int q = 0; q < 100; ++q) {
+    const Vec2 start{rng.NextDouble(50.0, 950.0),
+                     rng.NextDouble(50.0, 950.0)};
+    // Inside several walls' reach: a tie at distance 0, lowest index wins.
+    const auto tie = field->FirstHit(start, {1.0, 0.0}, 5.0, 6.0);
+    ASSERT_EQ(tie, BruteFirstHit(*field, start, {1.0, 0.0}, 5.0, 6.0));
+    if (tie.has_value() && tie->first == 0.0) ++ties;
+    // A zero-length, zero-radius sweep almost never touches a wall.
+    const auto none = field->FirstHit(start, {0.0, 1.0}, 0.0, 0.0);
+    ASSERT_EQ(none, BruteFirstHit(*field, start, {0.0, 1.0}, 0.0, 0.0));
+    if (!none.has_value()) ++misses;
+    for (int r = 0; r < 3; ++r) {
+      ASSERT_EQ(field->FirstHit(start, {1.0, 0.0}, 5.0, 6.0), tie);
+      ASSERT_EQ(field->FirstHit(start, {0.0, 1.0}, 0.0, 0.0), none);
+    }
+  }
+  EXPECT_GT(ties, 50);
+  EXPECT_GT(misses, 50);
+}
+
+TEST(WallFieldMemoTest, SignedZeroArgumentsAreExact) {
+  // A dense world centred on the origin. Queries at +0.0 and -0.0 have
+  // different key bits: each must give the brute-force answer, whichever
+  // of them filled the slot first.
+  Rng gen(81);
+  auto field = WallField::Generate(AABB{{-50.0, -50.0}, {50.0, 50.0}}, 2000,
+                                   5.0, &gen);
+  for (const double y : {0.0, -0.0, 12.5}) {
+    for (const double x : {0.0, -0.0, 0.0, -0.0}) {
+      for (const double radius : {0.0, -0.0, 2.0}) {
+        ExpectCount(*field, {x, y}, radius, "signed zero");
+        ExpectHit(*field, {x, y}, {-0.0, 1.0}, 10.0, radius, "signed zero");
+        ExpectHit(*field, {x, y}, {0.0, -1.0}, 10.0, radius, "signed zero");
+        ExpectHit(*field, {x, y}, {1.0, 0.0}, -0.0, radius, "signed zero");
+      }
+    }
+  }
 }
 
 TEST(WallFieldTest, GeneratesRequestedCount) {

@@ -1068,6 +1068,8 @@ AnalyzeConfig DefaultConfig() {
       "SeveShardServer::FenceStampsAbove",
       "ShardStamp::Global",
   };
+  // The per-tick fan-out kernels, then the world queries that run on
+  // every evaluation of every move, by every replica.
   config.hot_roots = {
       "SeveServer::FlushSlot",
       "SeveServer::FlushAll",
@@ -1075,6 +1077,9 @@ AnalyzeConfig DefaultConfig() {
       "SeveServer::RouteToClients",
       "SeveShardServer::QueueEscalatedPush",
       "SeveShardServer::FlushEscalatedPushes",
+      "WallField::CountNear",
+      "WallField::FirstHit",
+      "ManhattanWorld::CountAvatarsNear",
   };
   // Handing a frame to the simulated network ends the sender's tick;
   // Node::Deliver runs in a later event-loop slot on the receiver's

@@ -29,7 +29,8 @@
 //                         on the same receiver in its defining file, or
 //                         a raw `new`, is flagged when the containing
 //                         function is reachable from the per-tick
-//                         flush/route/fan-out kernels — even when the
+//                         flush/route/fan-out kernels or the
+//                         per-evaluation world queries — even when the
 //                         allocation hides two helpers deep in another
 //                         layer. src/common is exempt (the vetted
 //                         substrate). Sites already carrying a
