@@ -274,6 +274,44 @@ void BM_EventLoopPingPong(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoopPingPong);
 
+// The up-front move schedule of a 20k-client, 12-move run at a 1 s period
+// (perfbench's crowd_sharded): 240k events spread over 12 s are live
+// before the first one fires, and each, like a move's first send,
+// schedules a delivery one link latency later while the rest still wait.
+void BM_EventLoopPrescheduledDrain(benchmark::State& state) {
+  constexpr int kClients = 20000;
+  constexpr int kMoves = 12;
+  constexpr VirtualTime kPeriod = 1'000'000;
+  Rng rng(11);
+  std::vector<VirtualTime> start(kClients);
+  for (VirtualTime& t : start) {
+    t = static_cast<VirtualTime>(
+        rng.NextBounded(static_cast<uint64_t>(kPeriod)));
+  }
+  int64_t fired = 0;
+  for (auto _ : state) {
+    EventLoop loop;
+    for (int c = 0; c < kClients; ++c) {
+      const Micros latency = 119'000 + c % 64;
+      for (int k = 0; k < kMoves; ++k) {
+        loop.At(start[static_cast<size_t>(c)] + k * kPeriod,
+                [&loop, &fired, latency]() {
+                  ++fired;
+                  loop.After(latency, [&fired]() { ++fired; });
+                });
+      }
+    }
+    loop.RunUntilIdle();
+  }
+  benchmark::DoNotOptimize(fired);
+  state.counters["events"] = benchmark::Counter(
+      static_cast<double>(fired), benchmark::Counter::kAvgIterations);
+  state.counters["time_per_event"] = benchmark::Counter(
+      static_cast<double>(fired),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EventLoopPrescheduledDrain)->Unit(benchmark::kMillisecond);
+
 void BM_ObjectSetIntersects(benchmark::State& state) {
   Rng rng(2);
   std::vector<ObjectId> a_ids, b_ids;

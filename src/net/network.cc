@@ -51,8 +51,19 @@ void Network::ApplyWireMode(Message* msg) {
   msg->bytes = static_cast<int64_t>(encoded->size());
 }
 
+uint32_t Network::SlotOf(NodeId id) {
+  const auto [slot, inserted] = slot_of_.TryEmplace(id);
+  if (inserted) {
+    *slot = static_cast<uint32_t>(nodes_.size());
+    nodes_.push_back(nullptr);
+  }
+  return *slot;
+}
+
 void Network::AddNode(Node* node) {
-  nodes_[node->id()] = node;
+  const uint32_t slot = SlotOf(node->id());
+  if (nodes_[slot] == nullptr) registered_.push_back(slot);
+  nodes_[slot] = node;
   node->set_network(this);
 }
 
@@ -64,55 +75,58 @@ void Network::ConnectBidirectional(NodeId a, NodeId b,
 
 void Network::ConnectDirected(NodeId src, NodeId dst,
                               const LinkParams& params) {
+  const uint32_t src_slot = SlotOf(src);
+  const uint32_t dst_slot = SlotOf(dst);
   // Preserve the serialization backlog (free_at) when reconfiguring an
   // existing link mid-run: swapping parameters does not clear the frames
   // already clocked onto the wire.
-  const auto [it, inserted] =
-      links_.try_emplace({src.value(), dst.value()}, LinkState{params, 0});
-  if (!inserted) it->second.params = params;
+  const auto [link, inserted] = links_.TryEmplace({src.value(), dst.value()});
+  if (inserted) {
+    link->src = src_slot;
+    link->dst = dst_slot;
+  }
+  link->params = params;
 }
 
 Status Network::Send(Message msg) {
-  auto link_it = links_.find({msg.src.value(), msg.dst.value()});
-  if (link_it == links_.end()) {
+  LinkState* link = links_.Find({msg.src.value(), msg.dst.value()});
+  if (link == nullptr) {
     return Status::NotFound("no link between nodes");
   }
-  auto node_it = nodes_.find(msg.dst);
-  if (node_it == nodes_.end()) {
+  Node* dst_node = nodes_[link->dst];
+  if (dst_node == nullptr) {
     return Status::NotFound("unknown destination node");
   }
-  auto src_it = nodes_.find(msg.src);
+  Node* src_node = nodes_[link->src];
 
   ApplyWireMode(&msg);
 
-  LinkState& link = link_it->second;
   const int64_t wire_bytes =
-      msg.bytes + link.params.per_message_overhead_bytes;
+      msg.bytes + link->params.per_message_overhead_bytes;
   msg.sent_at = loop_->now();
 
-  if (src_it != nodes_.end()) {
-    src_it->second->mutable_traffic()->sent.Record(wire_bytes);
+  if (src_node != nullptr) {
+    src_node->mutable_traffic()->sent.Record(wire_bytes);
   }
 
   // FIFO serialization: the frame occupies the link for tx microseconds —
   // charged before the loss decision, because real loss happens on the
   // wire or beyond, after the bytes were clocked out of the NIC.
   Micros tx = 0;
-  if (link.params.bytes_per_us > 0.0) {
+  if (link->params.bytes_per_us > 0.0) {
     tx = static_cast<Micros>(std::ceil(static_cast<double>(wire_bytes) /
-                                       link.params.bytes_per_us));
+                                       link->params.bytes_per_us));
   }
-  const VirtualTime start = std::max(loop_->now(), link.free_at);
-  link.free_at = start + tx;
-  const VirtualTime arrival = start + tx + link.params.latency_us;
+  const VirtualTime start = std::max(loop_->now(), link->free_at);
+  link->free_at = start + tx;
+  const VirtualTime arrival = start + tx + link->params.latency_us;
 
-  if (link.params.drop_probability > 0.0 &&
-      rng_.NextBool(link.params.drop_probability)) {
+  if (link->params.drop_probability > 0.0 &&
+      rng_.NextBool(link->params.drop_probability)) {
     ++messages_dropped_;
     return Status::OK();  // loss is not an error to the sender
   }
 
-  Node* dst_node = node_it->second;
   Message delivered = std::move(msg);
   delivered.bytes = wire_bytes;
   loop_->At(arrival, [dst_node, delivered = std::move(delivered)]() {
@@ -123,13 +137,13 @@ Status Network::Send(Message msg) {
 
 TrafficStats Network::TotalTraffic() const {
   TrafficStats total;
-  for (const auto& [id, node] : nodes_) total.Merge(node->traffic());
+  for (const uint32_t slot : registered_) total.Merge(nodes_[slot]->traffic());
   return total;
 }
 
 Node* Network::FindNode(NodeId id) const {
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : it->second;
+  const uint32_t* slot = slot_of_.Find(id);
+  return slot == nullptr ? nullptr : nodes_[*slot];
 }
 
 }  // namespace seve

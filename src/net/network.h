@@ -1,9 +1,10 @@
 #ifndef SEVE_NET_NETWORK_H_
 #define SEVE_NET_NETWORK_H_
 
-#include <memory>
-#include <unordered_map>
+#include <cstdint>
+#include <vector>
 
+#include "common/flat_map.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -102,14 +103,24 @@ class Network {
   Node* FindNode(NodeId id) const;
 
  private:
+  /// One directed link. Its endpoints are slots of `nodes_`, so Send
+  /// reaches both nodes with array reads after its one link probe.
   struct LinkState {
     LinkParams params;
     VirtualTime free_at = 0;  // when the link finishes its current frame
+    uint32_t src = 0;
+    uint32_t dst = 0;
   };
-  struct PairHash {
-    size_t operator()(const std::pair<uint64_t, uint64_t>& p) const {
-      std::hash<uint64_t> h;
-      return h(p.first) * 0x9e3779b97f4a7c15ULL + h(p.second);
+  struct LinkKey {
+    uint64_t src = 0;
+    uint64_t dst = 0;
+    friend bool operator==(const LinkKey&, const LinkKey&) = default;
+  };
+  struct LinkKeyHash {
+    size_t operator()(const LinkKey& k) const {
+      // Fold the pair, then reuse NodeId's SplitMix64 finalizer.
+      return std::hash<NodeId>{}(
+          NodeId(k.src * 0x9e3779b97f4a7c15ULL ^ k.dst));
     }
   };
 
@@ -118,11 +129,16 @@ class Network {
   /// and feeds the audit. Declared mode is a no-op.
   void ApplyWireMode(Message* msg);
 
+  /// The slot of `id` in `nodes_`, created empty on first sight (a link
+  /// may name a node before it is added).
+  uint32_t SlotOf(NodeId id);
+
   EventLoop* loop_;
   Rng rng_;
-  std::unordered_map<NodeId, Node*> nodes_;
-  std::unordered_map<std::pair<uint64_t, uint64_t>, LinkState, PairHash>
-      links_;
+  FlatMap<NodeId, uint32_t> slot_of_;
+  std::vector<Node*> nodes_;          // by slot; nullptr until AddNode
+  std::vector<uint32_t> registered_;  // slots in AddNode order
+  FlatMap<LinkKey, LinkState, LinkKeyHash> links_;
   int64_t messages_dropped_ = 0;
   WireMode wire_mode_ = WireMode::kDeclared;
   wire::WireAudit wire_audit_;

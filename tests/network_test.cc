@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "shard/shard_map.h"
+
 namespace seve {
 namespace {
 
@@ -318,6 +320,131 @@ TEST(NetworkTest, TotalTrafficAggregates) {
   const TrafficStats total = net.TotalTraffic();
   EXPECT_EQ(total.sent.bytes, 50);
   EXPECT_EQ(total.received.bytes, 50);
+}
+
+TEST(NetworkTest, ConnectDirectedBeforeAddNode) {
+  // The runner may name a node in a link before registering it.
+  EventLoop loop;
+  Network net(&loop);
+  net.ConnectDirected(NodeId(1), NodeId(2), LinkParams::LatencyOnly(10));
+  RecorderNode a(NodeId(1), &loop), b(NodeId(2), &loop);
+  net.AddNode(&b);
+  net.AddNode(&a);
+  EXPECT_EQ(net.FindNode(NodeId(1)), &a);
+  EXPECT_EQ(net.FindNode(NodeId(2)), &b);
+  a.Send(NodeId(2), 40, std::make_shared<PingBody>(3));
+  loop.RunUntilIdle();
+  ASSERT_EQ(b.arrivals.size(), 1u);
+  EXPECT_EQ(b.arrivals[0], (std::pair<VirtualTime, int>{10, 3}));
+  EXPECT_EQ(a.traffic().sent.bytes, 40);
+}
+
+TEST(NetworkTest, ReAddingANodeIdReplacesTheNode) {
+  EventLoop loop;
+  Network net(&loop);
+  RecorderNode a(NodeId(1), &loop), b(NodeId(2), &loop),
+      b2(NodeId(2), &loop);
+  net.AddNode(&a);
+  net.AddNode(&b);
+  net.ConnectBidirectional(NodeId(1), NodeId(2), LinkParams::LatencyOnly(5));
+  a.Send(NodeId(2), 30, std::make_shared<PingBody>(1));
+  loop.RunUntilIdle();
+
+  net.AddNode(&b2);
+  EXPECT_EQ(net.FindNode(NodeId(2)), &b2);
+  // The link survives the replacement and now delivers to the new node.
+  a.Send(NodeId(2), 20, std::make_shared<PingBody>(2));
+  loop.RunUntilIdle();
+  ASSERT_EQ(b.arrivals.size(), 1u);
+  ASSERT_EQ(b2.arrivals.size(), 1u);
+  EXPECT_EQ(b2.arrivals[0].second, 2);
+  // The replaced node no longer counts; the replacement counts once.
+  const TrafficStats total = net.TotalTraffic();
+  EXPECT_EQ(total.sent.bytes, 50);
+  EXPECT_EQ(total.received.bytes, 20);
+}
+
+TEST(NetworkTest, TotalTrafficUnchangedByReplacements) {
+  EventLoop loop;
+  Network net(&loop);
+  RecorderNode a(NodeId(1), &loop), b(NodeId(2), &loop);
+  net.AddNode(&a);
+  net.AddNode(&b);
+  net.ConnectBidirectional(NodeId(1), NodeId(2), LinkParams::LatencyOnly(1));
+  a.Send(NodeId(2), 70, std::make_shared<PingBody>(1));
+  b.Send(NodeId(1), 30, std::make_shared<PingBody>(2));
+  loop.RunUntilIdle();
+  const TrafficStats before = net.TotalTraffic();
+  // Re-adding the same nodes and re-connecting the same links changes
+  // neither the node set nor any counter.
+  net.AddNode(&b);
+  net.AddNode(&a);
+  net.ConnectBidirectional(NodeId(1), NodeId(2), LinkParams::LatencyOnly(9));
+  const TrafficStats after = net.TotalTraffic();
+  EXPECT_EQ(before.sent.bytes, 100);
+  EXPECT_EQ(after.sent.bytes, before.sent.bytes);
+  EXPECT_EQ(after.sent.messages, before.sent.messages);
+  EXPECT_EQ(after.received.bytes, before.received.bytes);
+  EXPECT_EQ(after.received.messages, before.received.messages);
+}
+
+TEST(NetworkTest, FarNodeIdsRouteNextToShardIds) {
+  // Ids far above the runner's client range share the table with the
+  // shard server ids and with id 0.
+  EventLoop loop;
+  Network net(&loop);
+  const NodeId far(1ull << 40);
+  const NodeId shard0 = ShardServerNode(0);
+  const NodeId shard1 = ShardServerNode(1);
+  RecorderNode f(far, &loop), s0(shard0, &loop), s1(shard1, &loop),
+      zero(NodeId(0), &loop);
+  for (RecorderNode* n : {&f, &s0, &s1, &zero}) net.AddNode(n);
+  EXPECT_EQ(shard0.value(), kShardNodeIdBase);
+  net.ConnectBidirectional(far, shard0, LinkParams::LatencyOnly(3));
+  net.ConnectBidirectional(far, shard1, LinkParams::LatencyOnly(4));
+  net.ConnectDirected(NodeId(0), far, LinkParams::LatencyOnly(5));
+  f.Send(shard0, 10, std::make_shared<PingBody>(1));
+  f.Send(shard1, 10, std::make_shared<PingBody>(2));
+  s0.Send(far, 10, std::make_shared<PingBody>(3));
+  zero.Send(far, 10, std::make_shared<PingBody>(4));
+  loop.RunUntilIdle();
+  ASSERT_EQ(s0.arrivals.size(), 1u);
+  ASSERT_EQ(s1.arrivals.size(), 1u);
+  ASSERT_EQ(f.arrivals.size(), 2u);
+  EXPECT_EQ(s0.arrivals[0], (std::pair<VirtualTime, int>{3, 1}));
+  EXPECT_EQ(s1.arrivals[0], (std::pair<VirtualTime, int>{4, 2}));
+  EXPECT_EQ(f.arrivals[0], (std::pair<VirtualTime, int>{3, 3}));
+  EXPECT_EQ(f.arrivals[1], (std::pair<VirtualTime, int>{5, 4}));
+  // Only 0 -> far was connected; the reverse direction does not exist.
+  Message back{far, NodeId(0), 1, 0, std::make_shared<PingBody>(0)};
+  EXPECT_EQ(net.Send(back).code(), StatusCode::kNotFound);
+  EXPECT_EQ(net.FindNode(far), &f);
+}
+
+TEST(NetworkTest, LinkToUnregisteredDestinationIsNotFound) {
+  EventLoop loop;
+  Network net(&loop);
+  RecorderNode a(NodeId(1), &loop);
+  net.AddNode(&a);
+  net.ConnectDirected(NodeId(1), NodeId(2), LinkParams::LatencyOnly(1));
+  Message msg{NodeId(1), NodeId(2), 10, 0, std::make_shared<PingBody>(0)};
+  EXPECT_EQ(net.Send(msg).code(), StatusCode::kNotFound);
+  // Rejected before the wire: nothing is charged or scheduled.
+  EXPECT_EQ(a.traffic().sent.messages, 0);
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
+TEST(NetworkTest, FindNodeOfUnknownIdIsNull) {
+  EventLoop loop;
+  Network net(&loop);
+  EXPECT_EQ(net.FindNode(NodeId(1)), nullptr);
+  RecorderNode a(NodeId(1), &loop);
+  net.AddNode(&a);
+  net.ConnectDirected(NodeId(1), NodeId(7), LinkParams::LatencyOnly(1));
+  EXPECT_EQ(net.FindNode(NodeId(1)), &a);
+  EXPECT_EQ(net.FindNode(NodeId(7)), nullptr);  // named by a link only
+  EXPECT_EQ(net.FindNode(NodeId(8)), nullptr);
+  EXPECT_EQ(net.FindNode(NodeId(1ull << 40)), nullptr);
 }
 
 }  // namespace

@@ -1068,8 +1068,9 @@ AnalyzeConfig DefaultConfig() {
       "SeveShardServer::FenceStampsAbove",
       "ShardStamp::Global",
   };
-  // The per-tick fan-out kernels, then the world queries that run on
-  // every evaluation of every move, by every replica.
+  // The per-tick fan-out kernels, the world queries that run on every
+  // evaluation of every move, by every replica, and the event queue's push
+  // and pop, which every scheduled event passes through.
   config.hot_roots = {
       "SeveServer::FlushSlot",
       "SeveServer::FlushAll",
@@ -1080,6 +1081,8 @@ AnalyzeConfig DefaultConfig() {
       "WallField::CountNear",
       "WallField::FirstHit",
       "ManhattanWorld::CountAvatarsNear",
+      "EventLoop::PushEntry",
+      "EventLoop::PopDue",
   };
   // Handing a frame to the simulated network ends the sender's tick;
   // Node::Deliver runs in a later event-loop slot on the receiver's
