@@ -9,11 +9,18 @@
 
 namespace seve::bench {
 
+#ifndef SEVE_BUILD_TYPE
+#define SEVE_BUILD_TYPE "unknown"
+#endif
+
 /// Shared main() body for the google-benchmark binaries: runs the
 /// registered benchmarks with `--benchmark_out=BENCH_<name>.json
 /// --benchmark_out_format=json` injected, so every bench run leaves a
 /// machine-readable trajectory file. Passing an explicit
-/// --benchmark_out on the command line overrides the injection.
+/// --benchmark_out on the command line overrides the injection. The
+/// json context records the CMake build type of the code under test as
+/// `seve_build_type` (google-benchmark's own `library_build_type` is the
+/// benchmark library's) next to the host's `num_cpus`.
 inline int GBenchMain(const char* bench_name, int argc, char** argv) {
   std::vector<char*> args(argv, argv + argc);
   bool has_out = false;
@@ -29,6 +36,7 @@ inline int GBenchMain(const char* bench_name, int argc, char** argv) {
   }
   int new_argc = static_cast<int>(args.size());
   benchmark::Initialize(&new_argc, args.data());
+  benchmark::AddCustomContext("seve_build_type", SEVE_BUILD_TYPE);
   if (benchmark::ReportUnrecognizedArguments(new_argc, args.data())) {
     return 1;
   }

@@ -56,7 +56,9 @@ SerializerCore::SerializerCore(NodeId node, EventLoop* loop,
       cost_(cost),
       interest_(interest),
       options_(options),
-      next_blind_id_(first_blind_id) {}
+      next_blind_id_(first_blind_id) {
+  closure_included_.reserve(ClientTable::kInitialPendingCapacity);
+}
 
 std::shared_ptr<const Action> SerializerCore::NewBlindWrite(
     std::vector<Object> values) {
@@ -74,13 +76,92 @@ OrderedAction SerializerCore::ShipEntry(const ServerQueue::Entry& entry) {
                        NewBlindWrite(entry.stable_written)};
 }
 
-void SerializerCore::SendActions(NodeId dst, std::vector<OrderedAction> batch,
-                                 Micros cpu) {
-  SubmitWork(cpu, [this, dst, batch = std::move(batch)]() mutable {
-    auto body = std::make_shared<DeliverActionsBody>();
-    body->actions = std::move(batch);
-    Send(dst, body->WireSize(), body);
-  });
+ObjectSet SerializerCore::WalkClosure(ClientId client, SeqNum pos,
+                                      const ObjectSet& resync, Micros* cpu) {
+  ObjectSet closure =
+      ObjectSet::Union(queue_.Find(pos)->action->ReadSet(), resync);
+  closure_included_.clear();
+  const int visits = queue_.WalkConflicts(
+      pos, &closure, [&](const ServerQueue::Entry& entry) {
+        if (entry.sent.count(client) != 0 &&
+            !entry.action->WriteSet().Intersects(resync)) {
+          return ServerQueue::WalkVerdict::kResolve;
+        }
+        // Not yet sent — or sent but the client flagged its outputs as
+        // non-replayable, so re-deliver (as stable values once known).
+        closure_included_.push_back(entry.pos);
+        return ServerQueue::WalkVerdict::kInclude;
+      });
+  stats_.closure_visits += visits;
+  *cpu += static_cast<Micros>(cost_.closure_per_visit_us *
+                              static_cast<double>(visits + 1));
+  return closure;
+}
+
+void SerializerCore::AssembleClosure(ClientId client, SeqNum pos,
+                                     const ObjectSet& closure,
+                                     std::vector<SeqNum>* included,
+                                     const std::vector<Object>& remote_values,
+                                     Micros* cpu,
+                                     std::vector<OrderedAction>* out) {
+  ServerQueue::Entry* target = queue_.Find(pos);
+  if (target == nullptr || !target->valid) return;
+  // Mark sent(a) ∪= {C} for the target and every included action.
+  target->sent.insert(client);
+  for (const SeqNum p : *included) {
+    ServerQueue::Entry* entry = queue_.Find(p);
+    if (entry != nullptr) entry->sent.insert(client);
+  }
+
+  // Assemble in ascending pos order with the blind write W(S, ζS(S))
+  // first (Algorithm 6 prepends it last).
+  std::sort(included->begin(), included->end());
+  const size_t start = out->size();
+  out->reserve(start + included->size() + 2);
+  if (!closure.empty() || !remote_values.empty()) {
+    // Extract skips ids held elsewhere; prepare-token values cover them.
+    // At the committed-frontier stamp every value is older than any
+    // queued action it accompanies, and joins the client's last-writer
+    // order through this server's own monotone stream.
+    std::vector<Object> values = state_.Extract(closure);
+    values.insert(values.end(), remote_values.begin(), remote_values.end());
+    out->push_back(OrderedAction{WireStamp(queue_.begin_pos() - 1),
+                                 NewBlindWrite(std::move(values))});
+    *cpu += cost_.install_us;
+  }
+  for (const SeqNum p : *included) {
+    const ServerQueue::Entry* entry = queue_.Find(p);
+    // Entries committed since the walk are covered by the head blind
+    // write (their writes stayed in the closure set); invalidated ones
+    // are dropped no-ops.
+    if (entry != nullptr && entry->valid) out->push_back(ShipEntry(*entry));
+  }
+  out->push_back(OrderedAction{WireStamp(pos), target->action});
+  stats_.closure_size.Add(static_cast<int64_t>(out->size() - start));
+}
+
+void SerializerCore::ServeCompletion(const CompletionBody& completion,
+                                     SeqNum pos) {
+  SubmitWork(cost_.install_us, []() {});
+  if (completion.out_of_order) audit_excluded_.insert(pos);
+  CompleteAt(pos, completion.digest, completion.written);
+}
+
+void SerializerCore::CompleteAt(SeqNum pos, ResultDigest digest,
+                                std::vector<Object> written) {
+  const SeqNum frontier = queue_.begin_pos();
+  (void)queue_.Complete(pos, digest, std::move(written),
+                        [this](const ServerQueue::Entry& entry) {
+                          InstallCommitted(entry);
+                        });
+  if (queue_.begin_pos() != frontier) OnFrontierAdvanced();
+}
+
+bool SerializerCore::CompleteInvalidHead() {
+  const ServerQueue::Entry* head = queue_.Find(queue_.begin_pos());
+  if (head == nullptr || head->valid) return false;
+  CompleteAt(head->pos, 0, {});
+  return true;
 }
 
 void SerializerCore::InstallCommitted(const ServerQueue::Entry& entry) {
@@ -89,9 +170,29 @@ void SerializerCore::InstallCommitted(const ServerQueue::Entry& entry) {
     committed_digests_[WireStamp(entry.pos)] = entry.stable_digest;
   }
   ++stats_.actions_committed;
+  OnInstalled(entry);
 }
 
-void SerializerCore::ResetClientSession(ClientTable::Slot slot) {
+SerializerCore::Outgoing SerializerCore::DeliverActions(
+    NodeId dst, std::vector<OrderedAction> batch) {
+  auto body = std::make_shared<DeliverActionsBody>();
+  body->actions = std::move(batch);
+  return Outgoing::Of(dst, std::move(body));
+}
+
+void SerializerCore::SendAfter(Outgoing out, Micros cpu) {
+  SubmitWork(cpu, [this, out = std::move(out)]() { SendNow(out); });
+}
+
+void SerializerCore::SendAllAfter(std::vector<Outgoing> batch, Micros cpu) {
+  SubmitWork(cpu, [this, batch = std::move(batch)]() {
+    for (const Outgoing& out : batch) SendNow(out);
+  });
+}
+
+bool SerializerCore::ResetClientSession(ClientId client) {
+  const ClientTable::Slot slot = clients_.SlotOf(client);
+  if (slot == ClientTable::kNoSlot) return false;
   // A transfer still pacing out belongs to the dead incarnation: its
   // remaining chunks would land on the new channel incarnation, and their
   // final chunk would end the new catch-up with the already-sent chunks'
@@ -107,6 +208,7 @@ void SerializerCore::ResetClientSession(ClientTable::Slot slot) {
     channel->ResetPeerSend(clients_.node(slot));
   }
   ++stats_.rejoins;
+  return true;
 }
 
 int64_t SerializerCore::ObjectsPerChunk() const {
@@ -128,7 +230,8 @@ void SerializerCore::ServeSnapshot(const SnapshotRequestBody& request,
   // marked sent only when that chunk actually enters the send path.
   std::vector<SeqNum> tail_positions;
   CollectTail(&bodies.back()->tail, &tail_positions);
-  std::vector<CatchupChunk> chunks = Seal(std::move(bodies));
+  std::vector<Outgoing> chunks =
+      Seal(clients_.node(slot), std::move(bodies));
   const auto total = static_cast<int64_t>(chunks.size());
   stats_.snapshot_chunks += total;
   const Micros cpu =
@@ -138,13 +241,12 @@ void SerializerCore::ServeSnapshot(const SnapshotRequestBody& request,
 }
 
 template <typename Body>
-std::vector<SerializerCore::CatchupChunk> SerializerCore::Seal(
-    std::vector<std::shared_ptr<Body>> bodies) {
-  std::vector<CatchupChunk> chunks;
+std::vector<SerializerCore::Outgoing> SerializerCore::Seal(
+    NodeId dst, std::vector<std::shared_ptr<Body>> bodies) {
+  std::vector<Outgoing> chunks;
   chunks.reserve(bodies.size());
   for (std::shared_ptr<Body>& body : bodies) {
-    const int64_t size = body->WireSize();
-    chunks.push_back(CatchupChunk{std::move(body), size});
+    chunks.push_back(Outgoing::Of(dst, std::move(body)));
   }
   return chunks;
 }
@@ -176,12 +278,11 @@ void SerializerCore::MarkTailSent(const std::vector<SeqNum>& positions,
 }
 
 void SerializerCore::DispatchCatchup(ClientTable::Slot slot, ClientId client,
-                                     std::vector<CatchupChunk> chunks,
+                                     std::vector<Outgoing> chunks,
                                      std::vector<SeqNum> tail_positions,
                                      Micros cpu) {
   PendingCatchup pc;
   pc.slot = slot;
-  pc.dst = clients_.node(slot);
   pc.client = client;
   pc.chunks = std::move(chunks);
   pc.tail_positions = std::move(tail_positions);
@@ -212,8 +313,7 @@ void SerializerCore::SendChunks(PendingCatchup* pc, size_t until) {
     if (pc->next + 1 == pc->chunks.size()) {
       MarkTailSent(pc->tail_positions, pc->client);
     }
-    const CatchupChunk& c = pc->chunks[pc->next];
-    Send(pc->dst, c.wire_size, c.body);
+    SendNow(pc->chunks[pc->next]);
     ++pc->next;
   }
 }
@@ -276,9 +376,7 @@ void SerializerCore::SendNack(NodeId dst, ClientId client, uint8_t mode) {
   auto body = std::make_shared<SyncNackBody>();
   body->client = client;
   body->mode = mode;
-  SubmitWork(cost_.serialize_us, [this, dst, body]() {
-    Send(dst, body->WireSize(), body);
-  });
+  SendAfter(Outgoing::Of(dst, std::move(body)), cost_.serialize_us);
 }
 
 int64_t SerializerCore::FullSnapshotBytesEstimate() const {
@@ -302,9 +400,7 @@ void SerializerCore::RequestIbf(NodeId dst, ClientId client, uint8_t mode,
   reply->client = client;
   reply->mode = mode;
   reply->cells = cells;
-  SubmitWork(cost_.serialize_us, [this, dst, reply]() {
-    Send(dst, reply->WireSize(), reply);
-  });
+  SendAfter(Outgoing::Of(dst, std::move(reply)), cost_.serialize_us);
 }
 
 void SerializerCore::ServeSyncRequest(const SyncRequestBody& request,
@@ -377,8 +473,8 @@ void SerializerCore::SendDelta(ClientTable::Slot slot, ClientId client,
   if (mode == kSyncModeRejoin) {
     CollectTail(&bodies.back()->tail, &tail_positions);
   }
-  std::vector<CatchupChunk> chunks = Seal(std::move(bodies));
-  for (const CatchupChunk& c : chunks) stats_.sync.delta_bytes += c.wire_size;
+  std::vector<Outgoing> chunks = Seal(clients_.node(slot), std::move(bodies));
+  for (const Outgoing& c : chunks) stats_.sync.delta_bytes += c.bytes;
   stats_.sync.objects_shipped += static_cast<int64_t>(ship.size());
   stats_.sync.objects_removed += static_cast<int64_t>(remove.size());
 
@@ -393,10 +489,7 @@ void SerializerCore::SendDelta(ClientTable::Slot slot, ClientId client,
   // Anti-entropy repairs are small by construction; they bypass the
   // catch-up pacer (and its flush suppression, which only the rejoin
   // path needs — a live client applies pushes and AE deltas alike).
-  const NodeId dst = clients_.node(slot);
-  SubmitWork(cpu, [this, dst, chunks = std::move(chunks)]() {
-    for (const CatchupChunk& c : chunks) Send(dst, c.wire_size, c.body);
-  });
+  SendAllAfter(std::move(chunks), cpu);
 }
 
 }  // namespace seve

@@ -19,19 +19,17 @@
 
 namespace seve {
 
-/// The state and the catch-up/sync server half shared by both SEVE
-/// serialization tiers: the single server (SeveServer) and each node of
-/// the zone-sharded tier (SeveShardServer). It owns ζS, the server
-/// queue, the client table, the protocol counters, the committed digests
-/// and the blind-write id stream, and it serves every client catch-up
-/// (DESIGN.md §11, §15): full snapshots, IBF delta-sync rounds for
-/// rejoin and anti-entropy, NACKs for unknown clients, and the pacer that
-/// lets at most kCatchupChunksPerTick chunks enter the send path per
-/// tick.
+/// The serializer core of both SEVE tiers: the single server
+/// (SeveServer) and each node of the zone-sharded tier (SeveShardServer).
+/// It owns ζS, the server queue, the client table, the protocol counters,
+/// the committed digests and the blind-write id stream, and runs every
+/// server half the tiers share (DESIGN.md §11): the Algorithm 6 closure
+/// reply, completion and install (Algorithm 5 step 5), the deferred send
+/// path, and every client catch-up (DESIGN.md §15): snapshots, IBF delta
+/// sync for rejoin and anti-entropy, NACKs and the catch-up pacer.
 ///
-/// A tier plugs in through two hooks: the wire stamp of a queue position
-/// (WireStamp) and whether a live entry is withheld from a catch-up tail
-/// (WithholdFromTail).
+/// A tier plugs in through four hooks: WireStamp, WithholdFromTail,
+/// OnInstalled and OnFrontierAdvanced.
 class SerializerCore : public Node {
  public:
   /// Catch-up pacing budget: chunks that may enter the send path per
@@ -57,6 +55,20 @@ class SerializerCore : public Node {
                  const SeveOptions& options,
                  ActionId::ValueType first_blind_id);
 
+  /// One message bound for the send path, sized when it is queued (a
+  /// body is immutable once built, so this is what the wire charges).
+  struct Outgoing {
+    NodeId node;
+    int64_t bytes = 0;
+    std::shared_ptr<const MessageBody> body;
+
+    template <typename Body>
+    static Outgoing Of(NodeId node, std::shared_ptr<Body> body) {
+      const int64_t bytes = body->WireSize();
+      return Outgoing{node, bytes, std::move(body)};
+    }
+  };
+
   /// Hook: the position clients see for local queue position `pos`.
   virtual SeqNum WireStamp(SeqNum pos) const { return pos; }
   /// Hook: true when the live (not yet completed) entry at `pos` must
@@ -65,6 +77,10 @@ class SerializerCore : public Node {
     (void)pos;
     return false;
   }
+  /// Hook: runs for every entry installed into ζS.
+  virtual void OnInstalled(const ServerQueue::Entry& entry) { (void)entry; }
+  /// Hook: runs after a completion moved the committed frontier.
+  virtual void OnFrontierAdvanced() {}
 
   /// A blind write of `values`, drawing the next id of this server's
   /// stream (counted in stats().blind_writes).
@@ -73,18 +89,48 @@ class SerializerCore : public Node {
   /// entry as a blind write of its stable result (replayable at any
   /// client, whatever it applied before), otherwise as the action.
   OrderedAction ShipEntry(const ServerQueue::Entry& entry);
-  /// Ships `batch` to `dst` as one DeliverActions message after `cpu` of
-  /// simulated work.
-  void SendActions(NodeId dst, std::vector<OrderedAction> batch, Micros cpu);
-  /// Installs a committed entry into ζS and records its stable digest
-  /// (unless audit-excluded) at its wire stamp.
-  void InstallCommitted(const ServerQueue::Entry& entry);
 
-  /// Rejoin of a registered client: the pre-crash conversation is dead.
-  /// Drops the slot's paced transfer and queued pushes, starts a fresh
+  /// Algorithm 6's walk for `client`'s action at `pos`: returns the final
+  /// read set S (seeded with RS(a) ∪ `resync`) and leaves the included
+  /// positions in closure_included_. An entry already sent to `client`
+  /// resolves unless it writes a `resync` object (outputs the client
+  /// flagged as non-replayable). Charges the walk to *cpu.
+  ObjectSet WalkClosure(ClientId client, SeqNum pos, const ObjectSet& resync,
+                        Micros* cpu);
+  /// Appends the closure reply for the target at `pos` to *out: the head
+  /// blind write of S's values plus `remote_values`, then the valid
+  /// `included` entries in ShipEntry form (sorted in place), then the
+  /// target. Marks sent(a) for all of them. Appends nothing when the
+  /// target is gone or invalid.
+  void AssembleClosure(ClientId client, SeqNum pos, const ObjectSet& closure,
+                       std::vector<SeqNum>* included,
+                       const std::vector<Object>& remote_values, Micros* cpu,
+                       std::vector<OrderedAction>* out);
+
+  /// A client's completion for local position `pos`: charges the install,
+  /// excludes an out-of-order result from the audit, then CompleteAt.
+  void ServeCompletion(const CompletionBody& completion, SeqNum pos);
+  /// Records the stable result of `pos` and advances the committed
+  /// frontier, installing each entry it passes through InstallCommitted.
+  void CompleteAt(SeqNum pos, ResultDigest digest,
+                  std::vector<Object> written);
+  /// Completes an invalidated head so it stops blocking the frontier;
+  /// returns whether there was one.
+  bool CompleteInvalidHead();
+
+  static Outgoing DeliverActions(NodeId dst, std::vector<OrderedAction> batch);
+  void SendNow(const Outgoing& out) { Send(out.node, out.bytes, out.body); }
+  /// Send `out` (every message of `batch`, in order) after `cpu` of
+  /// simulated work; the CPU slot is charged even for an empty batch.
+  void SendAfter(Outgoing out, Micros cpu);
+  void SendAllAfter(std::vector<Outgoing> batch, Micros cpu);
+
+  /// Rejoin (Section III-C): the pre-crash conversation is dead. Drops
+  /// the client's paced transfer and queued pushes, starts a fresh
   /// outgoing channel incarnation (send side only — the Rejoin itself
   /// arrived on the client's new incoming stream) and counts the rejoin.
-  void ResetClientSession(ClientTable::Slot slot);
+  /// Returns false, doing nothing, for a client not registered here.
+  bool ResetClientSession(ClientId client);
 
   /// Streams ζS in SnapshotChunk slices; the final chunk carries the
   /// live tail. `src` is the requesting node, so an unregistered
@@ -127,27 +173,26 @@ class SerializerCore : public Node {
   // Membership-only (never iterated), so bucket order is unobservable.
   // seve-lint: allow(det-unordered-container): membership test only
   std::unordered_set<SeqNum> audit_excluded_;
+  std::vector<SeqNum> closure_included_;  // last WalkClosure's, reused
 
  private:
-  /// One prepared catch-up message awaiting its turn on the wire.
-  struct CatchupChunk {
-    std::shared_ptr<const MessageBody> body;
-    int64_t wire_size = 0;
-  };
+  /// Installs a committed entry into ζS, records its stable digest
+  /// (unless audit-excluded) at its wire stamp, then runs OnInstalled.
+  void InstallCommitted(const ServerQueue::Entry& entry);
+
   /// An in-flight paced transfer.
   struct PendingCatchup {
     ClientTable::Slot slot = 0;
-    NodeId dst = NodeId::Invalid();
     ClientId client = ClientId::Invalid();
-    std::vector<CatchupChunk> chunks;
+    std::vector<Outgoing> chunks;
     std::vector<SeqNum> tail_positions;
     size_t next = 0;  // first unsent chunk
   };
 
-  /// Wraps prepared chunk bodies with their declared wire sizes.
+  /// Wraps prepared chunk bodies, bound for `dst`, as sized messages.
   template <typename Body>
-  static std::vector<CatchupChunk> Seal(
-      std::vector<std::shared_ptr<Body>> bodies);
+  static std::vector<Outgoing> Seal(NodeId dst,
+                                    std::vector<std::shared_ptr<Body>> bodies);
   /// Captures the live uncommitted tail (ShipEntry form) WITHOUT marking
   /// anything sent; the included positions land in *positions so they
   /// are marked when the final chunk actually enters the send path (an
@@ -163,7 +208,7 @@ class SerializerCore : public Node {
   /// Ships a prepared catch-up: whole in the request's CPU slot when it
   /// fits one tick's budget and nothing is pacing, else paced.
   void DispatchCatchup(ClientTable::Slot slot, ClientId client,
-                       std::vector<CatchupChunk> chunks,
+                       std::vector<Outgoing> chunks,
                        std::vector<SeqNum> tail_positions, Micros cpu);
   /// Sends the next paced batch (at most kCatchupChunksPerTick chunks
   /// across all transfers) and re-arms the per-tick pacer while any

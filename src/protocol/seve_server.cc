@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace seve {
 
@@ -18,7 +17,6 @@ SeveServer::SeveServer(NodeId node, EventLoop* loop, WorldState initial,
   // decision, so dropping requires proactive push.
   assert(!options_.dropping || options_.proactive_push);
   ready_scratch_.reserve(ClientTable::kInitialPendingCapacity);
-  closure_included_.reserve(ClientTable::kInitialPendingCapacity);
 }
 
 void SeveServer::RegisterClient(ClientId client, NodeId node,
@@ -60,11 +58,14 @@ void SeveServer::OnMessage(const Message& msg) {
       HandleSubmit(submit.action->origin(), submit.action, submit.resync);
       break;
     }
-    case kCompletion:
-      HandleCompletion(static_cast<const CompletionBody&>(*msg.body));
+    case kCompletion: {
+      const auto& completion = static_cast<const CompletionBody&>(*msg.body);
+      ServeCompletion(completion, completion.pos);
       break;
+    }
     case kRejoin:
-      HandleRejoin(static_cast<const RejoinBody&>(*msg.body));
+      (void)ResetClientSession(
+          static_cast<const RejoinBody&>(*msg.body).client);
       break;
     case kSnapshotRequest:
       ServeSnapshot(static_cast<const SnapshotRequestBody&>(*msg.body),
@@ -82,11 +83,6 @@ void SeveServer::OnMessage(const Message& msg) {
   }
 }
 
-void SeveServer::HandleRejoin(const RejoinBody& rejoin) {
-  const ClientTable::Slot slot = clients_.SlotOf(rejoin.client);
-  if (slot != ClientTable::kNoSlot) ResetClientSession(slot);
-}
-
 void SeveServer::HandleSubmit(ClientId from, ActionPtr action,
                               const ObjectSet& resync) {
   const SeqNum pos = queue_.Append(action, loop()->now());
@@ -94,69 +90,62 @@ void SeveServer::HandleSubmit(ClientId from, ActionPtr action,
   UpdateClientProfile(from, action->Interest());
 
   Micros cpu = cost_.serialize_us;
-  if (options_.proactive_push) {
-    cpu += RouteToClients(pos, *action);
-    if (!options_.dropping) {
-      // The submitter gets its closure reply immediately (one round
-      // trip); pushes pre-warm the *other* interested clients, which is
-      // what keeps these replies lean (Section III-D).
-      validity_frontier_ = pos + 1;
-      std::vector<OrderedAction> batch;
-      AppendClosure(from, pos, &cpu, &batch, resync);
-      const ClientTable::Slot slot = clients_.SlotOf(from);
-      if (slot != ClientTable::kNoSlot && !batch.empty()) {
-        SendActions(clients_.node(slot), std::move(batch), cpu);
-        return;
-      }
-    } else if (options_.move_supersession && action->IsMovement()) {
-      // Updatable queue: this move supersedes the origin's still-queued,
-      // never-sent predecessor. Only reachable in dropping mode — the
-      // synchronous reply above marks the predecessor sent otherwise.
-      const SeqNum prev = queue_.NoteMovementAppend(pos, from);
-      if (prev != kInvalidSeq) SupersedeMove(prev);
-    }
-    // With dropping enabled the echo must wait for this tick's validity
-    // decision; OnTick sends the origin replies right after deciding.
-    if (!resync.empty()) pending_resync_[pos] = resync;
-    SubmitWork(cpu, []() {});
-  } else {
-    // Incomplete World Model without push: reply immediately with the
-    // transitive closure of the submitted action (Algorithm 5 step 4b).
+  if (options_.proactive_push) cpu += RouteToClients(pos, *action);
+  if (!options_.dropping) {
+    // The submitter gets its closure reply immediately, one round trip
+    // (Algorithm 5 step 4b). With push, pushes pre-warm the *other*
+    // interested clients, which is what keeps these replies lean
+    // (Section III-D).
     validity_frontier_ = pos + 1;
     const ClientTable::Slot slot = clients_.SlotOf(from);
-    if (slot == ClientTable::kNoSlot) return;
-    std::vector<OrderedAction> batch;
-    AppendClosure(from, pos, &cpu, &batch, resync);
-    SendActions(clients_.node(slot), std::move(batch), cpu);
+    if (slot != ClientTable::kNoSlot) {
+      std::vector<OrderedAction> batch;
+      AppendClosure(from, pos, &cpu, &batch, resync);
+      SendAfter(DeliverActions(clients_.node(slot), std::move(batch)), cpu);
+      return;
+    }
+    if (!options_.proactive_push) return;
+  } else if (options_.move_supersession && action->IsMovement()) {
+    // Updatable queue: this move supersedes the origin's still-queued,
+    // never-sent predecessor. Only reachable in dropping mode — the
+    // synchronous reply above marks the predecessor sent otherwise.
+    const SeqNum prev = queue_.NoteMovementAppend(pos, from);
+    if (prev != kInvalidSeq) SupersedeMove(prev);
   }
+  // With dropping enabled the echo must wait for this tick's validity
+  // decision; OnTick sends the origin replies right after deciding.
+  if (!resync.empty()) pending_resync_[pos] = resync;
+  SubmitWork(cpu, []() {});
 }
 
 void SeveServer::SupersedeMove(SeqNum prev) {
   ServerQueue::Entry* entry = queue_.Find(prev);
   if (entry == nullptr) return;
-  const ClientId origin = entry->action->origin();
-  const ActionId action_id = entry->action->id();
-  ObjectSet read_set = entry->action->ReadSet();
+  Drop drop{prev, entry->action};
   queue_.MarkInvalid(prev);
   ++stats_.fanout.superseded_moves;
   // Stale pending-push references and the resync stash resolve lazily /
   // eagerly: AppendClosure skips invalid entries, the stash dies here.
   pending_resync_.Erase(prev);
-  CompleteIfHead(prev);
-  const ClientTable::Slot slot = clients_.SlotOf(origin);
-  if (slot == ClientTable::kNoSlot) return;
-  const NodeId dst = clients_.node(slot);
+  (void)CompleteInvalidHead();
+  if (clients_.SlotOf(drop.action->origin()) == ClientTable::kNoSlot) return;
   // The origin rolls the superseded move back exactly like an
   // Information Bound drop: notice + authoritative refresh of its reads.
-  SubmitWork(cost_.serialize_us, [this, dst, prev, action_id,
-                                  read_set = std::move(read_set)]() {
-    auto body = std::make_shared<DropNoticeBody>();
-    body->action_id = action_id;
-    body->pos = prev;
-    body->refresh = state_.Extract(read_set);
-    body->refresh_pos = queue_.begin_pos() - 1;
-    Send(dst, body->WireSize(), body);
-  });
+  SubmitWork(cost_.serialize_us,
+             [this, drop = std::move(drop)]() { SendDropNotice(drop); });
+}
+
+void SeveServer::SendDropNotice(const Drop& drop) {
+  const ClientTable::Slot slot = clients_.SlotOf(drop.action->origin());
+  if (slot == ClientTable::kNoSlot) return;
+  auto body = std::make_shared<DropNoticeBody>();
+  body->action_id = drop.action->id();
+  body->pos = drop.pos;
+  // Refresh the origin's view of everything the dropped action read, so
+  // its next declaration starts from authoritative positions.
+  body->refresh = state_.Extract(drop.action->ReadSet());
+  body->refresh_pos = queue_.begin_pos() - 1;
+  SendNow(Outgoing::Of(clients_.node(slot), std::move(body)));
 }
 
 Micros SeveServer::RouteToClients(SeqNum pos, const Action& action) {
@@ -200,64 +189,12 @@ void SeveServer::AppendClosure(ClientId client, SeqNum pos,
                                Micros* cpu_cost,
                                std::vector<OrderedAction>* out,
                                const ObjectSet& resync) {
-  ServerQueue::Entry* target = queue_.Find(pos);
+  const ServerQueue::Entry* target = queue_.Find(pos);
   if (target == nullptr || !target->valid) return;
   if (target->sent.count(client) != 0) return;
-
-  ObjectSet read_set =
-      ObjectSet::Union(target->action->ReadSet(), resync);
-  closure_included_.clear();
-  const int visits = queue_.WalkConflicts(
-      pos, &read_set, [&](const ServerQueue::Entry& entry) {
-        if (entry.sent.count(client) != 0 &&
-            !entry.action->WriteSet().Intersects(resync)) {
-          return ServerQueue::WalkVerdict::kResolve;
-        }
-        // Not yet sent — or sent but the client flagged its outputs as
-        // non-replayable, so re-deliver (as stable values once known).
-        closure_included_.push_back(entry.pos);
-        return ServerQueue::WalkVerdict::kInclude;
-      });
-  stats_.closure_visits += visits;
-  *cpu_cost += static_cast<Micros>(
-      cost_.closure_per_visit_us * static_cast<double>(visits + 1));
-
-  // Mark sent(a) ∪= {C} for the target and every included action.
-  target->sent.insert(client);
-  for (SeqNum p : closure_included_) {
-    ServerQueue::Entry* entry = queue_.Find(p);
-    if (entry != nullptr) entry->sent.insert(client);
-  }
-
-  // Assemble in ascending pos order with the blind write W(S, ζS(S))
-  // first (Algorithm 6 prepends it last).
-  std::sort(closure_included_.begin(), closure_included_.end());
-  const size_t start = out->size();
-  out->reserve(start + closure_included_.size() + 2);
-  if (!read_set.empty()) {
-    // Effective position: the committed frontier, so client-side
-    // last-writer guards treat the snapshot as older than any queued
-    // action it accompanies.
-    out->push_back(OrderedAction{queue_.begin_pos() - 1,
-                                 NewBlindWrite(state_.Extract(read_set))});
-    *cpu_cost += cost_.install_us;
-  }
-  for (SeqNum p : closure_included_) {
-    const ServerQueue::Entry* entry = queue_.Find(p);
-    if (entry != nullptr) out->push_back(ShipEntry(*entry));
-  }
-  out->push_back(OrderedAction{target->pos, target->action});
-  stats_.closure_size.Add(static_cast<int64_t>(out->size() - start));
-}
-
-void SeveServer::CompleteIfHead(SeqNum pos) {
-  // An invalidated head may unblock the committed frontier.
-  if (pos != queue_.begin_pos()) return;
-  (void)queue_.Complete(pos, 0, {}, [this](const ServerQueue::Entry& e) {
-    state_.ApplyObjects(e.stable_written);
-    committed_digests_[e.pos] = e.stable_digest;
-    ++stats_.actions_committed;
-  });
+  const ObjectSet closure = WalkClosure(client, pos, resync, cpu_cost);
+  AssembleClosure(client, pos, closure, &closure_included_, {}, cpu_cost,
+                  out);
 }
 
 void SeveServer::OnTick() {
@@ -266,12 +203,6 @@ void SeveServer::OnTick() {
   // when its transitive conflict chain reaches an action farther than
   // `threshold` away.
   Micros cpu = 0;
-  struct Drop {
-    ClientId origin;
-    SeqNum pos;
-    ActionId action_id;
-    ObjectSet read_set;
-  };
   std::vector<Drop> drops;
   const SeqNum end = queue_.end_pos();
   const SeqNum scan_start = std::max(tick_scan_pos_, queue_.begin_pos());
@@ -297,13 +228,11 @@ void SeveServer::OnTick() {
     if (invalid) {
       queue_.MarkInvalid(pos);
       ++stats_.actions_dropped;
-      // Information Bound drops are rare: the audit log and the notice
-      // list grow amortized over the run, not per tick.
-      dropped_positions_.push_back(pos);  // seve-lint: allow(hot-vector-realloc): rare drop path (covers next line too)
-      drops.push_back(Drop{entry->action->origin(), pos,
-                           entry->action->id(),
-                           entry->action->ReadSet()});
-      CompleteIfHead(pos);
+      // Information Bound drops are rare: the notice list grows
+      // amortized over the run, not per tick.
+      // seve-lint: allow(hot-vector-realloc): rare drop path
+      drops.push_back(Drop{pos, entry->action});
+      (void)CompleteInvalidHead();
     }
   }
   tick_scan_pos_ = end;
@@ -311,11 +240,7 @@ void SeveServer::OnTick() {
 
   // Send the surviving submitters their closure replies now — the echo
   // waits only for the validity decision, never for the push cadence.
-  struct Reply {
-    NodeId node;
-    std::vector<OrderedAction> batch;
-  };
-  std::vector<Reply> replies;
+  std::vector<Outgoing> replies;
   replies.reserve(static_cast<size_t>(end - scan_start));
   for (SeqNum pos = scan_start; pos < end; ++pos) {
     const ServerQueue::Entry* entry = queue_.Find(pos);
@@ -326,7 +251,6 @@ void SeveServer::OnTick() {
     const ClientId origin = entry->action->origin();
     const ClientTable::Slot slot = clients_.SlotOf(origin);
     if (slot == ClientTable::kNoSlot) continue;
-    const NodeId dst = clients_.node(slot);
     ObjectSet resync;
     if (ObjectSet* stashed = pending_resync_.Find(pos)) {
       resync = std::move(*stashed);
@@ -335,29 +259,14 @@ void SeveServer::OnTick() {
     std::vector<OrderedAction> batch;
     AppendClosure(origin, pos, &cpu, &batch, resync);
     if (!batch.empty()) {
-      replies.push_back(Reply{dst, std::move(batch)});
+      replies.push_back(DeliverActions(clients_.node(slot), std::move(batch)));
     }
   }
 
   SubmitWork(cpu, [this, drops = std::move(drops),
                    replies = std::move(replies)]() {
-    for (const Reply& reply : replies) {
-      auto body = std::make_shared<DeliverActionsBody>();
-      body->actions = reply.batch;
-      Send(reply.node, body->WireSize(), body);
-    }
-    for (const Drop& drop : drops) {
-      const ClientTable::Slot slot = clients_.SlotOf(drop.origin);
-      if (slot == ClientTable::kNoSlot) continue;
-      auto body = std::make_shared<DropNoticeBody>();
-      body->action_id = drop.action_id;
-      body->pos = drop.pos;
-      // Refresh the origin's view of everything the dropped action read,
-      // so its next declaration starts from authoritative positions.
-      body->refresh = state_.Extract(drop.read_set);
-      body->refresh_pos = queue_.begin_pos() - 1;
-      Send(clients_.node(slot), body->WireSize(), body);
-    }
+    for (const Outgoing& reply : replies) SendNow(reply);
+    for (const Drop& drop : drops) SendDropNotice(drop);
   });
 
   if (running_) {
@@ -412,7 +321,7 @@ void SeveServer::FlushSlot(ClientTable::Slot slot) {
   ++stats_.fanout.push_batches;
   stats_.fanout.coalesced_pushes +=
       static_cast<int64_t>(ready_scratch_.size()) - 1;
-  SendActions(clients_.node(slot), std::move(batch), cpu);
+  SendAfter(DeliverActions(clients_.node(slot), std::move(batch)), cpu);
 }
 
 void SeveServer::OnPushCycle() {
@@ -439,14 +348,6 @@ void SeveServer::FlushAll() {
   OnPushCycle();
 }
 
-void SeveServer::HandleCompletion(const CompletionBody& completion) {
-  SubmitWork(cost_.install_us, []() {});
-  if (completion.out_of_order) audit_excluded_.insert(completion.pos);
-  (void)queue_.Complete(
-      completion.pos, completion.digest, completion.written,
-      [this](const ServerQueue::Entry& entry) { InstallCommitted(entry); });
-}
-
 void SeveServer::UpdateClientProfile(ClientId client,
                                      const InterestProfile& profile) {
   const ClientTable::Slot slot = clients_.SlotOf(client);
@@ -459,10 +360,11 @@ void SeveServer::UpdateClientProfile(ClientId client,
 void SeveServer::SendCommitNotices() {
   auto body = std::make_shared<CommitNoticeBody>();
   body->pos = queue_.begin_pos() - 1;
+  Outgoing notice = Outgoing::Of(NodeId::Invalid(), std::move(body));
   const size_t n = clients_.size();
   for (size_t slot = 0; slot < n; ++slot) {
-    Send(clients_.node(static_cast<ClientTable::Slot>(slot)),
-         body->WireSize(), body);
+    notice.node = clients_.node(static_cast<ClientTable::Slot>(slot));
+    SendNow(notice);
   }
   if (running_ && options_.commit_notice_period_us > 0) {
     loop()->After(options_.commit_notice_period_us,

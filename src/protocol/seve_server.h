@@ -27,8 +27,10 @@ namespace seve {
 /// Client bookkeeping is an SoA ClientTable (DESIGN.md §13): dense slots
 /// in registration order, with the push flush driven by an epoch-stamped
 /// dirty list so a cycle costs O(clients with pending work), not
-/// O(registered clients). Crash recovery — snapshot and delta-sync
-/// catch-up, anti-entropy, pacing — is the shared SerializerCore's.
+/// O(registered clients). Closure replies, completion/install, the send
+/// path and crash recovery are the shared SerializerCore's; this class
+/// adds routing and the push cycle, Algorithm 7's tick, move
+/// supersession and commit notices.
 class SeveServer : public SerializerCore {
  public:
   SeveServer(NodeId node, EventLoop* loop, WorldState initial,
@@ -50,25 +52,13 @@ class SeveServer : public SerializerCore {
   /// client immediately (bypassing the push cadence).
   void FlushAll();
 
-  /// pos of actions dropped by Algorithm 7.
-  const std::vector<SeqNum>& dropped_positions() const {
-    return dropped_positions_;
-  }
-
  protected:
   void OnMessage(const Message& msg) override;
 
  private:
   void HandleSubmit(ClientId from, ActionPtr action,
                     const ObjectSet& resync);
-  void HandleCompletion(const CompletionBody& completion);
-  /// Crash recovery (Section III-C): resets the client's session; the
-  /// catch-up request that follows is served by the core.
-  void HandleRejoin(const RejoinBody& rejoin);
   void OnTick();  // Algorithm 7: validity decisions for the last tick
-  /// Completes the just-invalidated entry at `pos` if it is the queue
-  /// head, advancing the committed frontier over it.
-  void CompleteIfHead(SeqNum pos);
   void OnPushCycle();  // First Bound: proactive push every ω·RTT
 
   /// Per-slot half of the push cycle: partitions the slot's pending list
@@ -78,15 +68,11 @@ class SeveServer : public SerializerCore {
   /// invariant).
   void FlushSlot(ClientTable::Slot slot);
 
-  /// Algorithm 6 for one target action: appends the ordered batch
-  /// (blind write first) to *out and marks sent(a) for every included
-  /// action. Appends nothing when there is nothing to deliver.
-  /// `cpu_cost` accumulates the simulated cost of the walk.
-  ///
-  /// `resync` (origin replies only) adds objects the client flagged as
-  /// non-replayable: they join the walked read set, their already-sent
-  /// writers are force-included, and whatever remains unresolved lands
-  /// in the head blind write. Included entries ship in ShipEntry form.
+  /// Algorithm 6 for one target action (the core's WalkClosure +
+  /// AssembleClosure): appends the ordered batch (blind write first) to
+  /// *out. Appends nothing, and charges nothing, when the target is gone,
+  /// invalid or already sent to `client`. `resync` (origin replies only)
+  /// lists objects the client flagged as non-replayable.
   void AppendClosure(ClientId client, SeqNum pos, Micros* cpu_cost,
                      std::vector<OrderedAction>* out,
                      const ObjectSet& resync = {});
@@ -103,6 +89,16 @@ class SeveServer : public SerializerCore {
   /// drop path (DropNotice + authoritative refresh of its reads).
   void SupersedeMove(SeqNum prev);
 
+  /// An Algorithm 7 drop (or a superseded move) awaiting its notice.
+  struct Drop {
+    SeqNum pos;
+    ActionPtr action;
+  };
+  /// Sends `drop`'s origin its DropNotice with an authoritative refresh
+  /// of the dropped action's reads. Runs inside the deferred send, so
+  /// the refresh is ζS as it stands when the notice leaves.
+  void SendDropNotice(const Drop& drop);
+
   void UpdateClientProfile(ClientId client, const InterestProfile& profile);
   void SendCommitNotices();
 
@@ -114,13 +110,11 @@ class SeveServer : public SerializerCore {
   // validity tick (dropping mode); consumed by OnTick.
   FlatMap<SeqNum, ObjectSet> pending_resync_;
   bool running_ = false;
-  std::vector<SeqNum> dropped_positions_;
   // Reusable hot-path scratch (steady-state zero-alloc; route_scratch_
   // growth after Start is charged to fanout.route_alloc).
   std::vector<uint64_t> route_scratch_;           // spatial query hits
   std::vector<ClientTable::Slot> dirty_scratch_;  // flush working set
   std::vector<SeqNum> ready_scratch_;             // per-slot partition
-  std::vector<SeqNum> closure_included_;          // AppendClosure walk
 };
 
 }  // namespace seve

@@ -97,12 +97,16 @@ void SeveShardServer::OnMessage(const Message& msg) {
     case kShardToken:
       HandleToken(static_cast<const ShardTokenBody&>(*msg.body));
       break;
-    case kShardCommit:
-      HandlePeerCommit(static_cast<const ShardCommitBody&>(*msg.body));
+    case kShardCommit: {
+      const auto& commit = static_cast<const ShardCommitBody&>(*msg.body);
+      RetireToken(commit.stamp, commit.home_shard, commit.token_seq);
       break;
-    case kShardAbort:
-      HandlePeerAbort(static_cast<const ShardAbortBody&>(*msg.body));
+    }
+    case kShardAbort: {
+      const auto& abort = static_cast<const ShardAbortBody&>(*msg.body);
+      RetireToken(abort.stamp, abort.home_shard, kInvalidSeq);
       break;
+    }
     case kMigrateOffer:
       HandleMigrateOffer(static_cast<const MigrateOfferBody&>(*msg.body));
       break;
@@ -197,30 +201,17 @@ void SeveShardServer::HandleSubmit(ClientId from, ActionPtr action,
   // from the same client still walks into an unresolved escalated
   // predecessor, escalates with it, and the FIFO token order keeps the
   // client's replies in submission order.
-  ObjectSet closure = ObjectSet::Union(action->ReadSet(), resync);
-  std::vector<SeqNum> included;
-  const int visits = queue_.WalkConflicts(
-      pos, &closure, [&](const ServerQueue::Entry& entry) {
-        if (entry.sent.count(from) != 0 &&
-            !entry.action->WriteSet().Intersects(resync)) {
-          return ServerQueue::WalkVerdict::kResolve;
-        }
-        included.push_back(entry.pos);
-        return ServerQueue::WalkVerdict::kInclude;
-      });
-  stats_.closure_visits += visits;
-  cpu += static_cast<Micros>(cost_.closure_per_visit_us *
-                             static_cast<double>(visits + 1));
-
+  const ObjectSet closure = WalkClosure(from, pos, resync, &cpu);
   const NodeId dst = clients_.node(client_slot);
 
   if (closure.IsSubsetOfShard(*map_, shard_)) {
     // Fast path: the whole closure lives here; reply in one round trip
     // exactly like the single-server Incomplete World Model.
     ++counters_.fast_path;
-    std::vector<OrderedAction> batch =
-        AssembleBatch(from, pos, included, closure, {}, &cpu);
-    SendActions(dst, std::move(batch), cpu);
+    std::vector<OrderedAction> batch;
+    AssembleClosure(from, pos, closure, &closure_included_, {}, &cpu,
+                    &batch);
+    SendAfter(DeliverActions(dst, std::move(batch)), cpu);
     return;
   }
 
@@ -232,15 +223,11 @@ void SeveShardServer::HandleSubmit(ClientId from, ActionPtr action,
   esc.origin = from;
   esc.origin_node = dst;
   esc.epoch = epoch_;
-  esc.included = std::move(included);
+  esc.included = closure_included_;
   esc.closure = closure;
 
   const ShardSpan span = SpanOf(closure, *map_);
-  struct Prepare {
-    NodeId node;
-    std::shared_ptr<ShardPrepareBody> body;
-  };
-  std::vector<Prepare> prepares;
+  std::vector<Outgoing> prepares;
   for (const ShardId peer : span.shards) {  // ascending: ordered tokens
     if (peer == shard_) continue;
     esc.waiting.push_back(peer);
@@ -249,62 +236,14 @@ void SeveShardServer::HandleSubmit(ClientId from, ActionPtr action,
     body->home_shard = static_cast<int32_t>(shard_);
     body->epoch = epoch_;
     body->reads = OwnedSubset(closure, *map_, peer);
-    prepares.push_back(
-        Prepare{peer_nodes_[static_cast<size_t>(peer)], std::move(body)});
+    prepares.push_back(ToPeer(peer, std::move(body)));
   }
   cpu += cost_.serialize_us * static_cast<Micros>(prepares.size());
-  SubmitWork(cpu, [this, prepares = std::move(prepares)]() {
-    for (const Prepare& prepare : prepares) {
-      Send(prepare.node, prepare.body->WireSize(), prepare.body);
-    }
-  });
+  SendAllAfter(std::move(prepares), cpu);
   // A span that collapsed to this shard alone (a stale Bloom bit after a
   // migration can force the escalated route onto an all-local closure)
   // has no tokens to wait for: resolve immediately.
-  if (pending_.Find(pos) != nullptr && pending_.Find(pos)->waiting.empty()) {
-    FinishEscalation(pos);
-  }
-}
-
-std::vector<OrderedAction> SeveShardServer::AssembleBatch(
-    ClientId client, SeqNum pos, const std::vector<SeqNum>& included,
-    const ObjectSet& closure, const std::vector<Object>& remote_values,
-    Micros* cpu_cost) {
-  ServerQueue::Entry* target = queue_.Find(pos);
-  if (target == nullptr || !target->valid) return {};
-  target->sent.insert(client);
-  for (const SeqNum p : included) {
-    ServerQueue::Entry* entry = queue_.Find(p);
-    if (entry != nullptr) entry->sent.insert(client);
-  }
-
-  std::vector<SeqNum> ordered = included;
-  std::sort(ordered.begin(), ordered.end());
-
-  std::vector<OrderedAction> batch;
-  batch.reserve(ordered.size() + 2);
-  if (!closure.empty() || !remote_values.empty()) {
-    // Extract skips the closure's non-local ids; the token values cover
-    // them. Both enter at the committed-frontier stamp, so every value —
-    // local or token-carried — joins the client's last-writer order
-    // through this shard's own monotone stream, older than anything
-    // still queued here (the cross-shard stamp-interleaving hazard).
-    std::vector<Object> values = state_.Extract(closure);
-    values.insert(values.end(), remote_values.begin(), remote_values.end());
-    batch.push_back(OrderedAction{GlobalStampOf(queue_.begin_pos() - 1),
-                                  NewBlindWrite(std::move(values))});
-    *cpu_cost += cost_.install_us;
-  }
-  for (const SeqNum p : ordered) {
-    const ServerQueue::Entry* entry = queue_.Find(p);
-    // Entries committed since the walk are covered by the head blind
-    // write (their writes stayed in the closure set); invalidated ones
-    // are aborted no-ops.
-    if (entry != nullptr && entry->valid) batch.push_back(ShipEntry(*entry));
-  }
-  batch.push_back(OrderedAction{GlobalStampOf(pos), target->action});
-  stats_.closure_size.Add(static_cast<int64_t>(batch.size()));
-  return batch;
+  if (esc.waiting.empty()) FinishEscalation(pos);
 }
 
 void SeveShardServer::HandlePrepare(const ShardPrepareBody& prepare) {
@@ -325,10 +264,8 @@ void SeveShardServer::HandlePrepare(const ShardPrepareBody& prepare) {
       prepare.stamp, static_cast<ShardId>(prepare.home_shard),
       body->token_seq});
   ++counters_.tokens_served;
-  const NodeId dst =
-      peer_nodes_[static_cast<size_t>(prepare.home_shard)];
-  SubmitWork(cost_.serialize_us + cost_.install_us,
-             [this, dst, body]() { Send(dst, body->WireSize(), body); });
+  SendAfter(ToPeer(prepare.home_shard, std::move(body)),
+            cost_.serialize_us + cost_.install_us);
 }
 
 void SeveShardServer::HandleToken(const ShardTokenBody& token) {
@@ -365,53 +302,28 @@ void SeveShardServer::FinishEscalation(SeqNum pos) {
   if (esc == nullptr) return;
   Micros cpu =
       cost_.serialize_us * static_cast<Micros>(esc->acked.size() + 1);
-  std::vector<OrderedAction> batch = AssembleBatch(
-      esc->origin, pos, esc->included, esc->closure, esc->token_values,
-      &cpu);
-  const NodeId dst = esc->origin_node;
-  struct Commit {
-    NodeId node;
-    std::shared_ptr<ShardCommitBody> body;
-  };
-  std::vector<Commit> commits;
+  std::vector<OrderedAction> batch;
+  AssembleClosure(esc->origin, pos, esc->closure, &esc->included,
+                  esc->token_values, &cpu, &batch);
+  std::vector<Outgoing> out;
+  if (!batch.empty()) {
+    out.push_back(DeliverActions(esc->origin_node, std::move(batch)));
+  }
   for (const PendingEscalation::Participant& part : esc->acked) {
     auto body = std::make_shared<ShardCommitBody>();
     body->stamp = GlobalStampOf(pos);
     body->home_shard = static_cast<int32_t>(shard_);
     body->token_seq = part.token_seq;
-    commits.push_back(
-        Commit{peer_nodes_[static_cast<size_t>(part.shard)],
-               std::move(body)});
+    out.push_back(ToPeer(part.shard, std::move(body)));
   }
   ++counters_.commits;
   pending_.Erase(pos);
-  SubmitWork(cpu, [this, dst, batch = std::move(batch),
-                   commits = std::move(commits)]() {
-    if (!batch.empty()) {
-      auto body = std::make_shared<DeliverActionsBody>();
-      body->actions = batch;
-      Send(dst, body->WireSize(), body);
-    }
-    for (const Commit& commit : commits) {
-      Send(commit.node, commit.body->WireSize(), commit.body);
-    }
-  });
-}
-
-void SeveShardServer::HandlePeerCommit(const ShardCommitBody& commit) {
-  SubmitWork(cost_.serialize_us, []() {});
-  RetireToken(commit.stamp, static_cast<ShardId>(commit.home_shard),
-              commit.token_seq);
-}
-
-void SeveShardServer::HandlePeerAbort(const ShardAbortBody& abort) {
-  SubmitWork(cost_.serialize_us, []() {});
-  RetireToken(abort.stamp, static_cast<ShardId>(abort.home_shard),
-              kInvalidSeq);
+  SendAllAfter(std::move(out), cpu);
 }
 
 void SeveShardServer::RetireToken(SeqNum stamp, ShardId home,
                                   SeqNum token_seq) {
+  SubmitWork(cost_.serialize_us, []() {});
   outstanding_.erase(
       std::remove_if(outstanding_.begin(), outstanding_.end(),
                      [&](const OutstandingToken& tok) {
@@ -422,8 +334,7 @@ void SeveShardServer::RetireToken(SeqNum stamp, ShardId home,
       outstanding_.end());
 }
 
-void SeveShardServer::InstallEntry(const ServerQueue::Entry& entry) {
-  InstallCommitted(entry);
+void SeveShardServer::OnInstalled(const ServerQueue::Entry& entry) {
   // Freshen the origin's routing profile from the installed action
   // (push targeting and the migrated record both read it; no protocol
   // state depends on it).
@@ -438,11 +349,7 @@ void SeveShardServer::InstallEntry(const ServerQueue::Entry& entry) {
   }
 }
 
-void SeveShardServer::CompleteAndInstall(SeqNum pos, ResultDigest digest,
-                                         std::vector<Object> written) {
-  (void)queue_.Complete(
-      pos, digest, std::move(written),
-      [this](const ServerQueue::Entry& entry) { InstallEntry(entry); });
+void SeveShardServer::OnFrontierAdvanced() {
   FlushEscalatedPushes();
   // A frontier advance may have drained the last uncommitted writer of
   // an object mid-handoff.
@@ -484,11 +391,7 @@ void SeveShardServer::FlushEscalatedPushes() {
                       const std::pair<ClientTable::Slot, OrderedAction>& b) {
                      return a.first < b.first;
                    });
-  struct Push {
-    NodeId node;
-    std::shared_ptr<DeliverActionsBody> body;
-  };
-  std::vector<Push> pushes;
+  std::vector<Outgoing> pushes;
   pushes.reserve(push_scratch_.size());  // upper bound: one batch per entry
   size_t i = 0;
   while (i < push_scratch_.size()) {
@@ -510,16 +413,12 @@ void SeveShardServer::FlushEscalatedPushes() {
     stats_.fanout.coalesced_pushes +=
         static_cast<int64_t>(body->actions.size()) - 1;
     ++counters_.escalated_pushes;
-    pushes.push_back(Push{clients_.node(slot), std::move(body)});
+    pushes.push_back(Outgoing::Of(clients_.node(slot), std::move(body)));
   }
   push_scratch_.clear();
   const Micros cpu =
       cost_.serialize_us * static_cast<Micros>(pushes.size());
-  SubmitWork(cpu, [this, pushes = std::move(pushes)]() {
-    for (const Push& push : pushes) {
-      Send(push.node, push.body->WireSize(), push.body);
-    }
-  });
+  SendAllAfter(std::move(pushes), cpu);
 }
 
 void SeveShardServer::HandleCompletion(const CompletionBody& completion) {
@@ -529,27 +428,18 @@ void SeveShardServer::HandleCompletion(const CompletionBody& completion) {
     // completion quoting another shard's stamp routes to its owner (a
     // rehomed client keeps completing its source-stamped tail through
     // the destination).
-    auto body = std::make_shared<CompletionBody>(completion);
-    const NodeId dst = peer_nodes_[static_cast<size_t>(owner)];
-    SubmitWork(cost_.serialize_us,
-               [this, dst, body]() { Send(dst, body->WireSize(), body); });
+    SendAfter(ToPeer(owner, std::make_shared<CompletionBody>(completion)),
+              cost_.serialize_us);
     return;
   }
-  SubmitWork(cost_.install_us, []() {});
-  const SeqNum pos = LocalPosOfStamp(completion.pos);
-  if (completion.out_of_order) audit_excluded_.insert(pos);
-  CompleteAndInstall(pos, completion.digest, completion.written);
+  ServeCompletion(completion, LocalPosOfStamp(completion.pos));
 }
 
 void SeveShardServer::AbortEscalationsFrom(ClientId client) {
   // Abort the crashed client's escalations still waiting for tokens —
   // the reply could never reach the new incarnation — and tell every
   // involved peer to retire its token.
-  struct Abort {
-    NodeId node;
-    std::shared_ptr<ShardAbortBody> body;
-  };
-  std::vector<Abort> aborts;
+  std::vector<Outgoing> aborts;
   for (const SeqNum pos : pending_.PositionsFrom(client)) {
     PendingEscalation* esc = pending_.Find(pos);
     if (esc == nullptr) continue;
@@ -557,8 +447,7 @@ void SeveShardServer::AbortEscalationsFrom(ClientId client) {
       auto body = std::make_shared<ShardAbortBody>();
       body->stamp = GlobalStampOf(pos);
       body->home_shard = static_cast<int32_t>(shard_);
-      aborts.push_back(
-          Abort{peer_nodes_[static_cast<size_t>(peer)], std::move(body)});
+      aborts.push_back(ToPeer(peer, std::move(body)));
     };
     for (const ShardId peer : esc->waiting) notify(peer);
     for (const PendingEscalation::Participant& part : esc->acked) {
@@ -569,16 +458,11 @@ void SeveShardServer::AbortEscalationsFrom(ClientId client) {
     pending_.Erase(pos);
   }
   if (aborts.empty()) return;
-  SubmitWork(cost_.serialize_us, [this, aborts = std::move(aborts)]() {
-    for (const Abort& abort : aborts) {
-      Send(abort.node, abort.body->WireSize(), abort.body);
-    }
-  });
+  SendAllAfter(std::move(aborts), cost_.serialize_us);
 }
 
 void SeveShardServer::HandleRejoin(const RejoinBody& rejoin) {
-  const ClientTable::Slot slot = clients_.SlotOf(rejoin.client);
-  if (slot == ClientTable::kNoSlot) {
+  if (!ResetClientSession(rejoin.client)) {
     // Case B of the crash race (DESIGN.md §14): the client rehomed to
     // this shard, crashed, and its rejoin beat the MigrateCommit here.
     // Forward the fact to the source once — it treats the rejoin as an
@@ -591,10 +475,7 @@ void SeveShardServer::HandleRejoin(const RejoinBody& rejoin) {
         auto body = std::make_shared<MigrateRejoinBody>();
         body->client = expected.client;
         body->object = expected.object;
-        const NodeId dst = peer_nodes_[static_cast<size_t>(expected.source)];
-        SubmitWork(cost_.serialize_us, [this, dst, body]() {
-          Send(dst, body->WireSize(), body);
-        });
+        SendAfter(ToPeer(expected.source, std::move(body)), cost_.serialize_us);
       }
       const RejoinBody parked = rejoin;
       loop()->After(options_.tick_us,
@@ -603,7 +484,6 @@ void SeveShardServer::HandleRejoin(const RejoinBody& rejoin) {
     }
     return;  // neither registered nor expected: stale, drop
   }
-  ResetClientSession(slot);
   ++epoch_;  // fence: tokens echoing the old epoch are now stale
 
   AbortEscalationsFrom(rejoin.client);
@@ -629,11 +509,7 @@ bool SeveShardServer::InvalidateUncompleted(ClientId client,
     queue_.MarkInvalid(pos);
     ++counters_.aborts;
   }
-  // An invalidated head may unblock the committed frontier.
-  ServerQueue::Entry* head = queue_.Find(queue_.begin_pos());
-  if (head == nullptr || head->valid) return false;
-  CompleteAndInstall(head->pos, 0, {});
-  return true;
+  return CompleteInvalidHead();
 }
 
 bool SeveShardServer::AwaitingAdoption(ClientId client) const {
@@ -691,9 +567,8 @@ void SeveShardServer::HandleSyncIBFRequest(const SyncIBFRequestBody& request,
   reply->client = request.client;
   reply->mode = request.mode;
   reply->ibf = sync::BuildIbf(OwnerSummary(), request.cells);
-  SubmitWork(cost_.serialize_us + cost_.install_us, [this, src, reply]() {
-    Send(src, reply->WireSize(), reply);
-  });
+  SendAfter(Outgoing::Of(src, std::move(reply)),
+            cost_.serialize_us + cost_.install_us);
 }
 
 void SeveShardServer::HandleSyncIBF(const SyncIBFBody& body, NodeId src) {
@@ -720,9 +595,7 @@ void SeveShardServer::HandleSyncIBF(const SyncIBFBody& body, NodeId src) {
   reply->mode = body.mode;
   reply->total = 1;
   reply->removed = std::move(ids);
-  SubmitWork(cost_.serialize_us, [this, src, reply]() {
-    Send(src, reply->WireSize(), reply);
-  });
+  SendAfter(Outgoing::Of(src, std::move(reply)), cost_.serialize_us);
 }
 
 void SeveShardServer::HandleSyncDelta(const SyncDeltaBody& delta,
@@ -770,10 +643,7 @@ void SeveShardServer::OwnerAeTick() {
   auto body = std::make_shared<SyncRequestBody>();
   body->mode = kSyncModeOwnerMap;
   body->strata = sync::BuildStrata(OwnerSummary());
-  const NodeId dst = peer_nodes_[static_cast<size_t>(succ)];
-  SubmitWork(cost_.serialize_us, [this, dst, body]() {
-    Send(dst, body->WireSize(), body);
-  });
+  SendAfter(ToPeer(succ, std::move(body)), cost_.serialize_us);
 }
 
 void SeveShardServer::StartAntiEntropy() {
@@ -836,10 +706,7 @@ bool SeveShardServer::StartMigration(ObjectId object, ShardId dest) {
   body->dest_shard = static_cast<int32_t>(dest);
   body->epoch = epoch_;
   body->client = out.client;
-  const NodeId dst = peer_nodes_[static_cast<size_t>(dest)];
-  SubmitWork(cost_.serialize_us, [this, dst, body]() {
-    Send(dst, body->WireSize(), body);
-  });
+  SendAfter(ToPeer(dest, std::move(body)), cost_.serialize_us);
   return true;
 }
 
@@ -858,10 +725,7 @@ void SeveShardServer::HandleMigrateOffer(const MigrateOfferBody& offer) {
   body->object = offer.object;
   body->dest_shard = static_cast<int32_t>(shard_);
   body->epoch = offer.epoch;
-  const NodeId dst = peer_nodes_[static_cast<size_t>(offer.source_shard)];
-  SubmitWork(cost_.serialize_us, [this, dst, body]() {
-    Send(dst, body->WireSize(), body);
-  });
+  SendAfter(ToPeer(offer.source_shard, std::move(body)), cost_.serialize_us);
 }
 
 void SeveShardServer::HandleMigrateAck(const MigrateAckBody& ack) {
@@ -883,10 +747,8 @@ void SeveShardServer::HandleMigrateAck(const MigrateAckBody& ack) {
       body->dest_node =
           peer_nodes_[static_cast<size_t>(out.dest)].value();
       body->epoch = out.epoch;
-      const NodeId dst = out.client_node;
-      SubmitWork(cost_.serialize_us, [this, dst, body]() {
-        Send(dst, body->WireSize(), body);
-      });
+      SendAfter(Outgoing::Of(out.client_node, std::move(body)),
+                cost_.serialize_us);
     } else {
       out.phase = MigrationOut::Phase::kDraining;
     }
@@ -959,10 +821,8 @@ void SeveShardServer::CommitMigration(ObjectId object) {
   avatar_client_.Erase(object);
   ++counters_.migrations_out;
 
-  const NodeId dst = peer_nodes_[static_cast<size_t>(out.dest)];
-  SubmitWork(cost_.serialize_us + cost_.install_us, [this, dst, body]() {
-    Send(dst, body->WireSize(), body);
-  });
+  SendAfter(ToPeer(out.dest, std::move(body)),
+            cost_.serialize_us + cost_.install_us);
 }
 
 void SeveShardServer::HandleMigrateCommit(const MigrateCommitBody& commit) {
@@ -985,8 +845,7 @@ void SeveShardServer::HandleMigrateCommit(const MigrateCommitBody& commit) {
   audit_excluded_.insert(pos);
   ++counters_.migrations_in;
 
-  NodeId rehome_dst{0};
-  std::shared_ptr<RehomeDoneBody> done;
+  std::vector<Outgoing> done;
   if (commit.client.valid()) {
     ClientTable::ClientRecord record;
     record.id = commit.client;
@@ -995,20 +854,15 @@ void SeveShardServer::HandleMigrateCommit(const MigrateCommitBody& commit) {
     (void)clients_.Adopt(record, loop()->now());
     avatar_client_[commit.object] = commit.client;
     ++counters_.rehomed_clients;
-    done = std::make_shared<RehomeDoneBody>();
-    done->client = commit.client;
-    done->object = commit.object;
-    rehome_dst = record.node;
+    auto body = std::make_shared<RehomeDoneBody>();
+    body->client = commit.client;
+    body->object = commit.object;
+    done.push_back(Outgoing::Of(record.node, std::move(body)));
   }
-  SubmitWork(cost_.serialize_us + cost_.install_us,
-             [this, rehome_dst, done]() {
-               if (done != nullptr) {
-                 Send(rehome_dst, done->WireSize(), done);
-               }
-             });
+  SendAllAfter(std::move(done), cost_.serialize_us + cost_.install_us);
   // Install the adoption (it completes in place; the frontier advances
   // over it once everything older commits).
-  CompleteAndInstall(pos, 0, commit.value);
+  CompleteAt(pos, 0, commit.value);
 }
 
 void SeveShardServer::HandleMigrateAbort(const MigrateAbortBody& abort) {
@@ -1034,10 +888,7 @@ void SeveShardServer::CancelMigrationsFor(ClientId client) {
     body->object = it->object;
     body->source_shard = static_cast<int32_t>(shard_);
     body->epoch = it->epoch;
-    const NodeId dst = peer_nodes_[static_cast<size_t>(it->dest)];
-    SubmitWork(cost_.serialize_us, [this, dst, body]() {
-      Send(dst, body->WireSize(), body);
-    });
+    SendAfter(ToPeer(it->dest, std::move(body)), cost_.serialize_us);
     ++counters_.migration_aborts;
     it = migrating_out_.erase(it);
   }

@@ -62,11 +62,11 @@ namespace seve {
 /// before adoption is parked and forwarded (MigrateRejoin) so the source
 /// can invalidate the crashed client's unfinishable tail and commit.
 ///
-/// Client catch-up (snapshot, delta sync, anti-entropy, pacing) is the
-/// shared SerializerCore's, over this shard's partition and in global
-/// stamps; this class adds only Case-B parking of catch-up requests from
-/// clients whose adoption is still in flight, and the owner-map ring
-/// rounds.
+/// Closure replies, completion/install, the send path and client
+/// catch-up are the shared SerializerCore's, over this shard's partition
+/// and in global stamps; this class adds the cross-shard commit,
+/// migrations, Case-B parking of catch-up requests from clients whose
+/// adoption is still in flight, and the owner-map ring rounds.
 class SeveShardServer : public SerializerCore {
  public:
   SeveShardServer(NodeId node, EventLoop* loop, ShardId shard,
@@ -131,6 +131,10 @@ class SeveShardServer : public SerializerCore {
   bool WithholdFromTail(SeqNum pos) const override {
     return escalated_.count(pos) != 0;
   }
+  /// Per install: the origin's profile refresh and escalated pushes.
+  void OnInstalled(const ServerQueue::Entry& entry) override;
+  /// The escalated-push flush and the migration drain check.
+  void OnFrontierAdvanced() override;
 
  private:
   /// One outbound handoff on the source shard. The phases gate the
@@ -159,6 +163,8 @@ class SeveShardServer : public SerializerCore {
   };
 
   void HandleSubmit(ClientId from, ActionPtr action, const ObjectSet& resync);
+  /// Forwards a completion quoting another shard's stamp to its owner;
+  /// serves the rest through the core at the local position.
   void HandleCompletion(const CompletionBody& completion);
   void HandleRejoin(const RejoinBody& rejoin);
   /// Case B of the crash race: `client` is not registered here but has a
@@ -181,8 +187,6 @@ class SeveShardServer : public SerializerCore {
   void HandleSyncDelta(const SyncDeltaBody& delta, NodeId src);
   void HandlePrepare(const ShardPrepareBody& prepare);
   void HandleToken(const ShardTokenBody& token);
-  void HandlePeerCommit(const ShardCommitBody& commit);
-  void HandlePeerAbort(const ShardAbortBody& abort);
   void HandleMigrateOffer(const MigrateOfferBody& offer);
   void HandleMigrateAck(const MigrateAckBody& ack);
   void HandleMigrateCommit(const MigrateCommitBody& commit);
@@ -232,12 +236,8 @@ class SeveShardServer : public SerializerCore {
   /// committed frontier keeps advancing; returns whether it did.
   bool InvalidateUncompleted(ClientId client, bool escalated_only);
 
-  /// queue_.Complete + the post-install work every call site needs: the
-  /// escalated-push flush and the migration drain recheck.
-  void CompleteAndInstall(SeqNum pos, ResultDigest digest,
-                          std::vector<Object> written);
   /// First-Bound style fan-out of a committed escalated closure: queues
-  /// one (slot, blind write) per interested client (InstallEntry), then
+  /// one (slot, blind write) per interested client (OnInstalled), then
   /// FlushEscalatedPushes coalesces per slot into DeliverActions batches.
   void QueueEscalatedPush(const ServerQueue::Entry& entry);
   void FlushEscalatedPushes();
@@ -248,21 +248,15 @@ class SeveShardServer : public SerializerCore {
   /// messages.
   void FinishEscalation(SeqNum pos);
 
-  /// Assembles the wire batch for the closure captured at submit time:
-  /// head blind write (local extract of `closure` + `remote_values`) at
-  /// the committed-frontier stamp, then the included entries (completed
-  /// ones substituted by blind writes of their stable results), then the
-  /// target — all positions translated to global stamps. Marks sent(a).
-  std::vector<OrderedAction> AssembleBatch(
-      ClientId client, SeqNum pos, const std::vector<SeqNum>& included,
-      const ObjectSet& closure, const std::vector<Object>& remote_values,
-      Micros* cpu_cost);
+  /// A message for peer shard `peer`'s server.
+  template <typename Body>
+  Outgoing ToPeer(ShardId peer, std::shared_ptr<Body> body) const {
+    return Outgoing::Of(peer_nodes_[static_cast<size_t>(peer)],
+                        std::move(body));
+  }
 
-  /// Installs committed entries into the partition state (the
-  /// queue-advance callback shared by the completion and abort paths).
-  void InstallEntry(const ServerQueue::Entry& entry);
-
-  /// Drops the peer-side record of a token; token_seq == kInvalidSeq
+  /// A peer's ShardCommit or ShardAbort: charges the handling and drops
+  /// the record of the token this shard issued; token_seq == kInvalidSeq
   /// matches any (aborts don't know which token the peer issued).
   void RetireToken(SeqNum stamp, ShardId home, SeqNum token_seq);
 

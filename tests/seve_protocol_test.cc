@@ -317,5 +317,71 @@ TEST(SeveProtocolTest, ClosureSizeStatsPopulated) {
   EXPECT_GT(fx.server->stats().closure_size.count(), 0);
 }
 
+// A movement for the updatable-queue tests: CounterAdd that the server
+// may supersede (SeveOptions::move_supersession).
+class CounterMove : public CounterAdd {
+ public:
+  using CounterAdd::CounterAdd;
+  bool IsMovement() const override { return true; }
+};
+
+// Exposes the message entry point, so a test can order submits and
+// completions exactly, with no client or link in between.
+class InjectableServer : public SeveServer {
+ public:
+  using SeveServer::OnMessage;
+  using SeveServer::SeveServer;
+
+  void Deliver(std::shared_ptr<const MessageBody> body) {
+    Message msg;
+    msg.src = NodeId(1);
+    msg.dst = id();
+    msg.body = std::move(body);
+    OnMessage(msg);
+  }
+};
+
+// A completion flagged out-of-order must stay out of the audit even when
+// the entry is installed by the cascade behind a dropped head: the head
+// at pos 0 is a never-sent move that a newer move of its origin
+// supersedes (the Information Bound drop path), which pops it and
+// installs the already-completed pos 1.
+TEST(SeveProtocolTest, DroppedHeadCascadeKeepsAuditExclusion) {
+  SeveOptions opts = PushOptions();
+  opts.dropping = true;
+  opts.move_supersession = true;
+  EventLoop loop;
+  InjectableServer server(
+      NodeId(0), &loop, CounterState({1, 2}), CostModel{},
+      InterestModel(10.0, kRtt, opts.omega, opts.velocity_culling,
+                    opts.interest_classes),
+      opts, AABB{{-200.0, -200.0}, {200.0, 200.0}});
+
+  server.Deliver(std::make_shared<SubmitActionBody>(
+      std::make_shared<CounterMove>(ActionId(1), ClientId(0), ObjectId(1),
+                                    1)));  // pos 0
+  server.Deliver(std::make_shared<SubmitActionBody>(
+      std::make_shared<CounterAdd>(ActionId(2), ClientId(1), ObjectId(2),
+                                   1)));  // pos 1
+  auto completion = std::make_shared<CompletionBody>();
+  completion->pos = 1;
+  completion->action_id = ActionId(2);
+  completion->from = ClientId(1);
+  completion->digest = 77;
+  completion->out_of_order = true;
+  server.Deliver(completion);
+  EXPECT_EQ(server.committed_frontier(), 0);  // pos 0 still blocks
+
+  server.Deliver(std::make_shared<SubmitActionBody>(
+      std::make_shared<CounterMove>(ActionId(3), ClientId(0), ObjectId(1),
+                                    2)));  // pos 2 supersedes pos 0
+  EXPECT_EQ(server.stats().fanout.superseded_moves, 1);
+  EXPECT_EQ(server.committed_frontier(), 2);
+  EXPECT_EQ(server.stats().actions_committed, 1);
+  EXPECT_EQ(server.committed_digests().Find(0), nullptr);
+  EXPECT_EQ(server.committed_digests().Find(1), nullptr)
+      << "an audit-excluded completion reached the committed digests";
+}
+
 }  // namespace
 }  // namespace seve

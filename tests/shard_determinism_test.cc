@@ -57,6 +57,24 @@ ShardCounters TotalCounters(const RunReport& r) {
   return total;
 }
 
+// A 1-shard tier runs the single server's closure and completion path,
+// so besides the state it must reproduce the virtual metrics: response
+// times and the closure work. Server bytes and the end time are not
+// compared — only the single server sends CommitNotices.
+void ExpectSameVirtualMetrics(const RunReport& one,
+                              const RunReport& reference) {
+  EXPECT_GT(reference.response_us.count(), 0);
+  EXPECT_EQ(one.response_us.count(), reference.response_us.count());
+  EXPECT_EQ(one.response_us.sum(), reference.response_us.sum());
+  EXPECT_EQ(one.response_us.P99(), reference.response_us.P99());
+  EXPECT_EQ(one.server_stats.closure_visits,
+            reference.server_stats.closure_visits);
+  EXPECT_EQ(one.server_stats.blind_writes,
+            reference.server_stats.blind_writes);
+  EXPECT_EQ(one.server_stats.closure_size.count(),
+            reference.server_stats.closure_size.count());
+}
+
 // Spread workload: every closure is local, so any shard count must
 // reproduce the single Incomplete-World server bit for bit — including
 // each client's stable replica.
@@ -83,6 +101,7 @@ TEST(ShardDeterminismTest, SpreadMatchesSingleServer) {
                 reference.client_state_digests[i])
           << "client " << i << " at " << shards << " shards";
     }
+    if (shards == 1) ExpectSameVirtualMetrics(report, reference);
   }
 }
 
@@ -97,6 +116,7 @@ TEST(ShardDeterminismTest, BoundaryCommitMatchesSingleServer) {
       RunScenario(Architecture::kSeveSharded, WithShards(base, 1));
   EXPECT_EQ(one.final_state_digest, reference.final_state_digest);
   EXPECT_EQ(TotalCounters(one).escalated, 0);
+  ExpectSameVirtualMetrics(one, reference);
 
   for (const int shards : {4, 8}) {
     const RunReport report =
