@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "protocol/options.h"
 #include "protocol/server_queue.h"
 #include "world/attrs.h"
 #include "world/manhattan_world.h"
@@ -70,7 +71,7 @@ void BM_TransitiveClosure(benchmark::State& bench_state) {
     int included = 0;
     const int visits = fx.queue.WalkConflicts(
         fx.queue.end_pos() - 1, &read_set,
-        [&included](const ServerQueue::Entry&) {
+        [&included](SeqNum, const ServerQueue::WalkRec&) {
           ++included;
           return ServerQueue::WalkVerdict::kInclude;
         });
@@ -111,6 +112,55 @@ BENCHMARK(BM_TransitiveClosure)
     ->Args({256, 256})
     ->Args({1024, 1024})
     ->Args({3500, 3500});
+
+void BM_ValidityWalkDeepQueue(benchmark::State& bench_state) {
+  // Algorithm 7's validity walk as SeveServer::OnTick runs it on a deep
+  // uncommitted queue (lossy_rejoin averages ~5.4k entries): each
+  // iteration appends the next move at the tail, walks its conflict
+  // chain with S = RS(a) and the distance threshold, and completes the
+  // head so the depth stays put. Moves are generated for twice the
+  // depth and cycled.
+  const int depth = static_cast<int>(bench_state.range(0));
+  QueueFixture fx(/*avatars=*/64, /*world_side=*/1000.0, 2 * depth);
+  ServerQueue& queue = fx.queue;
+  auto drop_head = [&queue]() {
+    queue.Complete(queue.begin_pos(), 0, {}, [](const ServerQueue::Entry&) {});
+  };
+  while (queue.uncommitted_size() > static_cast<size_t>(depth)) drop_head();
+  const double threshold = SeveOptions{}.threshold;
+  size_t next = 0;
+  int64_t iters = 0;
+  int64_t visits_total = 0;
+  int64_t stops = 0;
+  for (auto _ : bench_state) {
+    const SeqNum pos = queue.Append(fx.actions[next], 0);
+    next = (next + 1) % fx.actions.size();
+    const Vec2 anchor = queue.Record(pos).anchor;
+    bool stopped = false;
+    const int visits = queue.WalkConflicts(
+        pos, nullptr, [&](SeqNum, const ServerQueue::WalkRec& other) {
+          if (Distance(anchor, other.anchor) > threshold) {
+            stopped = true;
+            return ServerQueue::WalkVerdict::kStop;
+          }
+          return ServerQueue::WalkVerdict::kInclude;
+        });
+    benchmark::DoNotOptimize(visits);
+    drop_head();
+    ++iters;
+    visits_total += visits;
+    stops += stopped;
+  }
+  const double denom = iters > 0 ? static_cast<double>(iters) : 1.0;
+  bench_state.counters["walk_visits"] =
+      static_cast<double>(visits_total) / denom;
+  bench_state.counters["stop_frac"] = static_cast<double>(stops) / denom;
+  // Host nanoseconds per visit, the figure ROADMAP item 3(f) tracks.
+  bench_state.counters["ns_per_visit"] = benchmark::Counter(
+      static_cast<double>(visits_total),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ValidityWalkDeepQueue)->ArgName("queue")->Arg(1024)->Arg(5400);
 
 void BM_QueueAppend(benchmark::State& bench_state) {
   QueueFixture fx(64, 1000.0, 1);

@@ -82,14 +82,14 @@ ObjectSet SerializerCore::WalkClosure(ClientId client, SeqNum pos,
       ObjectSet::Union(queue_.Find(pos)->action->ReadSet(), resync);
   closure_included_.clear();
   const int visits = queue_.WalkConflicts(
-      pos, &closure, [&](const ServerQueue::Entry& entry) {
-        if (entry.sent.count(client) != 0 &&
-            !entry.action->WriteSet().Intersects(resync)) {
+      pos, &closure, [&](SeqNum p, const ServerQueue::WalkRec& rec) {
+        if (queue_.Find(p)->sent.count(client) != 0 &&
+            !rec.action->WriteSet().Intersects(resync)) {
           return ServerQueue::WalkVerdict::kResolve;
         }
         // Not yet sent — or sent but the client flagged its outputs as
         // non-replayable, so re-deliver (as stable values once known).
-        closure_included_.push_back(entry.pos);
+        closure_included_.push_back(p);
         return ServerQueue::WalkVerdict::kInclude;
       });
   stats_.closure_visits += visits;
@@ -150,10 +150,10 @@ void SerializerCore::ServeCompletion(const CompletionBody& completion,
 void SerializerCore::CompleteAt(SeqNum pos, ResultDigest digest,
                                 std::vector<Object> written) {
   const SeqNum frontier = queue_.begin_pos();
-  (void)queue_.Complete(pos, digest, std::move(written),
-                        [this](const ServerQueue::Entry& entry) {
-                          InstallCommitted(entry);
-                        });
+  queue_.Complete(pos, digest, std::move(written),
+                  [this](const ServerQueue::Entry& entry) {
+                    InstallCommitted(entry);
+                  });
   if (queue_.begin_pos() != frontier) OnFrontierAdvanced();
 }
 

@@ -1,23 +1,64 @@
 #include "protocol/server_queue.h"
 
 #include <algorithm>
+#include <memory>
 
 namespace seve {
 
 SeqNum ServerQueue::Append(ActionPtr action, VirtualTime now) {
   const SeqNum pos = end_pos();
+  if (entries_.size() == ring_.get_deleter().slots) GrowRing();
   Entry entry;
   entry.pos = pos;
-  entry.action = std::move(action);
   entry.submitted_at = now;
-  for (ObjectId id : entry.action->WriteSet()) {
+
+  WalkRec& rec = *std::construct_at(RingSlot(pos));
+  rec.anchor = action->Interest().position;
+  rec.action = action.get();
+  const ObjectSet& write_set = action->WriteSet();
+  rec.num_links = static_cast<uint32_t>(write_set.size());
+  WriteLink* links = &rec.link;
+  if (rec.num_links > WalkRec::kInlineLinks) {
+    entry.spilled_links.resize(write_set.size());
+    links = entry.spilled_links.data();
+    rec.spilled_links = links;  // the vector's buffer moves with the entry
+  }
+  for (ObjectId id : write_set) {
+    WriteLink& link = *links++;
+    link.id = id;
     // Writer chains are InlineVec<SeqNum, 4>: short chains (the common
     // case) never touch the heap, and the lazy prune in
     // GreatestWriterBelow keeps long ones bounded.
-    writers_[id].push_back(pos);  // seve-lint: allow(hot-vector-realloc): InlineVec inline capacity
+    WriterChain& chain = writers_[id];
+    if (!chain.empty() && chain.back() >= base_) {
+      link.prev_pos = chain.back();
+      link.prev_link = LinkIndex(Record(link.prev_pos), id);
+    }
+    chain.push_back(pos);  // seve-lint: allow(hot-vector-realloc): InlineVec inline capacity
   }
+  const ObjectSet& read_set = action->ReadSet();
+  if (read_set.size() <= WalkRec::kInlineReads) {
+    rec.num_reads = static_cast<uint16_t>(read_set.size());
+    std::copy(read_set.begin(), read_set.end(), rec.reads);
+  } else {
+    rec.num_reads = WalkRec::kSpilledReads;
+  }
+
+  entry.action = std::move(action);
   entries_.push_back(std::move(entry));  // seve-lint: allow(hot-vector-realloc): std::deque has no reserve
   return pos;
+}
+
+void ServerQueue::GrowRing() {
+  const size_t slots = std::max<size_t>(64, 2 * ring_.get_deleter().slots);
+  Ring grown(std::allocator<WalkRec>().allocate(slots), RingRelease{slots});
+  const size_t mask = slots - 1;
+  for (SeqNum pos = base_; pos < end_pos(); ++pos) {
+    std::construct_at(grown.get() + (static_cast<size_t>(pos) & mask),
+                      Record(pos));
+  }
+  ring_ = std::move(grown);
+  ring_mask_ = mask;
 }
 
 ServerQueue::Entry* ServerQueue::Find(SeqNum pos) {
@@ -58,7 +99,9 @@ SeqNum ServerQueue::GreatestWriterBelow(ObjectId id, SeqNum below) const {
 
 void ServerQueue::MarkInvalid(SeqNum pos) {
   Entry* entry = Find(pos);
-  if (entry != nullptr) entry->valid = false;
+  if (entry == nullptr) return;
+  entry->valid = false;
+  RingSlot(pos)->valid = false;
 }
 
 bool ServerQueue::HasUncommittedWriter(ObjectId id) const {
@@ -95,33 +138,6 @@ SeqNum ServerQueue::NoteMovementAppend(SeqNum pos, ClientId origin) {
 size_t ServerQueue::WriterChainLengthForTest(ObjectId id) const {
   const WriterChain* chain = writers_.Find(id);
   return chain != nullptr ? chain->size() : 0;
-}
-
-std::vector<SeqNum> ServerQueue::Complete(
-    SeqNum pos, ResultDigest digest, std::vector<Object> written,
-    const std::function<void(const Entry&)>& install) {
-  Entry* entry = Find(pos);
-  if (entry != nullptr && !entry->completed) {
-    entry->completed = true;
-    entry->stable_digest = digest;
-    entry->stable_written = std::move(written);
-  }
-  // Advance the frontier (Algorithm 5 step 5: install once ζS(i-1) is
-  // available, i.e. once every earlier action is installed or dropped).
-  std::vector<SeqNum> installed;
-  while (!entries_.empty()) {
-    Entry& head = entries_.front();
-    if (head.valid && !head.completed) break;
-    if (head.valid) {
-      install(head);
-      // Usually 0-1 entries per completion; the frontier advances one
-      // head at a time except after a long invalid prefix.
-      installed.push_back(head.pos);  // seve-lint: allow(hot-vector-realloc): near-empty in steady state
-    }
-    entries_.pop_front();
-    ++base_;
-  }
-  return installed;
 }
 
 }  // namespace seve

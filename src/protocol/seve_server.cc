@@ -209,13 +209,11 @@ void SeveServer::OnTick() {
   for (SeqNum pos = scan_start; pos < end; ++pos) {
     ServerQueue::Entry* entry = queue_.Find(pos);
     if (entry == nullptr || !entry->valid) continue;
-    const Vec2 anchor = entry->action->Interest().position;
+    const Vec2 anchor = queue_.Record(pos).anchor;
     bool invalid = false;
-    ObjectSet read_set = entry->action->ReadSet();
     const int visits = queue_.WalkConflicts(
-        pos, &read_set, [&](const ServerQueue::Entry& other) {
-          const Vec2 other_pos = other.action->Interest().position;
-          if (Distance(anchor, other_pos) > options_.threshold) {
+        pos, nullptr, [&](SeqNum, const ServerQueue::WalkRec& other) {
+          if (Distance(anchor, other.anchor) > options_.threshold) {
             invalid = true;
             return ServerQueue::WalkVerdict::kStop;
           }

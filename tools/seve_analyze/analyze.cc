@@ -1068,10 +1068,13 @@ AnalyzeConfig DefaultConfig() {
       "SeveShardServer::FenceStampsAbove",
       "ShardStamp::Global",
   };
-  // The per-tick fan-out kernels, the world queries that run on every
-  // evaluation of every move, by every replica, and the event queue's push
-  // and pop, which every scheduled event passes through.
+  // The per-tick fan-out kernels, the conflict walk of Algorithms 6 and
+  // 7 (once per submission and once per validity decision), the world
+  // queries that run on every evaluation of every move, by every replica,
+  // and the event queue's push and pop, which every scheduled event
+  // passes through.
   config.hot_roots = {
+      "ServerQueue::WalkConflicts",
       "SeveServer::FlushSlot",
       "SeveServer::FlushAll",
       "SeveServer::OnPushCycle",
