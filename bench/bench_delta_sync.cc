@@ -220,32 +220,20 @@ int main(int argc, char** argv) {
   j += "  \"rows\": [\n";
   for (size_t i = 0; i < points.size(); ++i) {
     const DeltaPoint& p = points[i];
-    char row[768];
+    char row[256];
     std::snprintf(
         row, sizeof(row),
         "    {\"objects\": %lld, \"divergence\": %.6g, \"stale\": %lld, "
-        "\"arm\": \"%s\", \"catchup_bytes\": %lld, \"sync_rounds\": %lld, "
-        "\"sync_strata_bytes\": %lld, \"sync_ibf_cells\": %lld, "
-        "\"delta_rejoins\": %lld, \"sync_fallbacks\": %lld, "
-        "\"sync_objects_shipped\": %lld, \"sync_objects_removed\": %lld, "
-        "\"sync_delta_bytes\": %lld, \"sync_full_bytes_estimate\": %lld, "
-        "\"snapshot_chunks\": %lld, \"wall_seconds\": %.6g}%s\n",
+        "\"arm\": \"%s\", \"catchup_bytes\": %lld, "
+        "\"snapshot_chunks\": %lld, \"wall_seconds\": %.6g",
         static_cast<long long>(p.config.objects), p.config.divergence,
         static_cast<long long>(p.stale_objects),
         p.config.delta ? "delta" : "full",
         static_cast<long long>(p.catchup_bytes),
-        static_cast<long long>(p.sync.sync_rounds),
-        static_cast<long long>(p.sync.strata_bytes),
-        static_cast<long long>(p.sync.ibf_cells),
-        static_cast<long long>(p.sync.delta_rejoins),
-        static_cast<long long>(p.sync.fallbacks),
-        static_cast<long long>(p.sync.objects_shipped),
-        static_cast<long long>(p.sync.objects_removed),
-        static_cast<long long>(p.sync.delta_bytes),
-        static_cast<long long>(p.sync.full_bytes_estimate),
-        static_cast<long long>(p.snapshot_chunks), p.wall_seconds,
-        i + 1 < points.size() ? "," : "");
+        static_cast<long long>(p.snapshot_chunks), p.wall_seconds);
     j += row;
+    bench::AppendCounters(&j, kSyncFields, p.sync);
+    j += i + 1 < points.size() ? "},\n" : "}\n";
   }
   j += "  ]\n}\n";
   if (std::FILE* f = std::fopen("BENCH_delta_sync.json", "w")) {

@@ -44,21 +44,16 @@ struct CapacityPoint {
   double mean_response_ms = 0.0;
   double p95_response_ms = 0.0;
   double wall_seconds = 0.0;
-  // Closure-engine kernel counters for the run (real work, not simulated
-  // cost): conflict-walk visits, ObjectSet signature decisions, and
-  // incremental-digest activity in the authoritative store.
-  uint64_t walk_visits = 0;
+  // ObjectSet signature decisions and incremental-digest activity in the
+  // authoritative store (real work, not simulated cost).
   uint64_t intersect_calls = 0;
   uint64_t sig_rejects = 0;
   uint64_t digest_folds = 0;
   uint64_t digest_rescans = 0;
-  // Fan-out kernel counters.
-  FanoutCounters fanout;
-  double dirty_scan_ratio = 0.0;
-  // XL rejoin-under-pacing: catch-up chunks sent and the largest batch
-  // any single tick carried (the pacer's enforced ceiling).
-  int64_t snapshot_chunks = 0;
-  int64_t max_chunks_per_tick = 0;
+  // Server protocol, fan-out and sync counters: conflict-walk visits, the
+  // dirty-list flush, and the XL rejoin's catch-up chunks and largest
+  // per-tick batch (the pacer's enforced ceiling).
+  ProtocolStats stats;
   bool rejoiner_caught_up = true;
 };
 
@@ -193,15 +188,11 @@ CapacityPoint RunCapacity(const CapacityConfig& cfg) {
   point.mean_response_ms = responses.Mean() / 1000.0;
   point.p95_response_ms = static_cast<double>(responses.P95()) / 1000.0;
   const ObjectSetCounters& set_after = GetObjectSetCounters();
-  point.walk_visits = static_cast<uint64_t>(server.stats().closure_visits);
   point.intersect_calls = set_after.intersect_calls - set_before.intersect_calls;
   point.sig_rejects = set_after.sig_rejects - set_before.sig_rejects;
   point.digest_folds = server.authoritative().digest_folds();
   point.digest_rescans = server.authoritative().digest_rescans();
-  point.fanout = server.stats().fanout;
-  point.dirty_scan_ratio = point.fanout.DirtyScanRatio(cfg.clients);
-  point.snapshot_chunks = server.stats().snapshot_chunks;
-  point.max_chunks_per_tick = server.stats().sync.max_chunks_per_tick;
+  point.stats = server.stats();
   point.rejoiner_caught_up = rejoiner_caught_up;
   return point;
 }
@@ -276,7 +267,8 @@ int main(int argc, char** argv) {
     std::printf("%-8d %-8d %-8s %-18.1f %-16.1f %-10.1f %-12.4f\n",
                 p.config.clients, p.config.movers,
                 p.config.xl ? "xl" : "classic", p.server_busy_pct,
-                p.mean_response_ms, p.p95_response_ms, p.dirty_scan_ratio);
+                p.mean_response_ms, p.p95_response_ms,
+                p.stats.fanout.DirtyScanRatio(p.config.clients));
   }
 
   // XL pacing bound: every XL point ran a mid-run crash/rejoin through
@@ -286,21 +278,20 @@ int main(int argc, char** argv) {
   bool pacing_ok = true;
   for (const CapacityPoint& p : points) {
     if (!p.config.xl) continue;
-    if (p.max_chunks_per_tick <= 0 || p.max_chunks_per_tick > 64 ||
-        !p.rejoiner_caught_up) {
+    const int64_t max_chunks = p.stats.sync.max_chunks_per_tick;
+    if (max_chunks <= 0 || max_chunks > 64 || !p.rejoiner_caught_up) {
       std::fprintf(stderr,
                    "PACING FAIL: xl clients=%d "
                    "max_chunks_per_tick=%lld (bound 64) caught_up=%d\n",
-                   p.config.clients,
-                   static_cast<long long>(p.max_chunks_per_tick),
+                   p.config.clients, static_cast<long long>(max_chunks),
                    p.rejoiner_caught_up ? 1 : 0);
       pacing_ok = false;
     } else {
       std::printf("xl %-7d rejoin paced OK: %lld chunks, max "
                   "%lld/tick (bound 64)\n",
                   p.config.clients,
-                  static_cast<long long>(p.snapshot_chunks),
-                  static_cast<long long>(p.max_chunks_per_tick));
+                  static_cast<long long>(p.stats.snapshot_chunks),
+                  static_cast<long long>(max_chunks));
     }
   }
 
@@ -313,39 +304,30 @@ int main(int argc, char** argv) {
   j += "  \"rows\": [\n";
   for (size_t i = 0; i < points.size(); ++i) {
     const CapacityPoint& p = points[i];
-    char row[1024];
+    char row[512];
     std::snprintf(
         row, sizeof(row),
         "    {\"clients\": %d, \"movers\": %d, \"moves_per_client\": %d, "
         "\"regime\": \"%s\", "
         "\"server_busy_pct\": %.6g, \"response_mean_ms\": %.6g, "
         "\"response_p95_ms\": %.6g, \"wall_seconds\": %.6g, "
-        "\"walk_visits\": %llu, \"intersect_calls\": %llu, "
-        "\"sig_rejects\": %llu, \"digest_folds\": %llu, "
-        "\"digest_rescans\": %llu, \"push_batches\": %lld, "
-        "\"coalesced_pushes\": %lld, \"dirty_slots_flushed\": %lld, "
-        "\"flush_cycles\": %lld, \"dirty_scan_ratio\": %.6g, "
-        "\"route_alloc\": %lld, "
-        "\"snapshot_chunks\": %lld, \"max_chunks_per_tick\": %lld, "
-        "\"rejoiner_caught_up\": %s}%s\n",
+        "\"intersect_calls\": %llu, \"sig_rejects\": %llu, "
+        "\"digest_folds\": %llu, \"digest_rescans\": %llu, "
+        "\"dirty_scan_ratio\": %.6g, \"rejoiner_caught_up\": %s",
         p.config.clients, p.config.movers, p.config.moves,
         p.config.xl ? "xl" : "classic", p.server_busy_pct,
         p.mean_response_ms, p.p95_response_ms, p.wall_seconds,
-        static_cast<unsigned long long>(p.walk_visits),
         static_cast<unsigned long long>(p.intersect_calls),
         static_cast<unsigned long long>(p.sig_rejects),
         static_cast<unsigned long long>(p.digest_folds),
         static_cast<unsigned long long>(p.digest_rescans),
-        static_cast<long long>(p.fanout.push_batches),
-        static_cast<long long>(p.fanout.coalesced_pushes),
-        static_cast<long long>(p.fanout.dirty_slots_flushed),
-        static_cast<long long>(p.fanout.flush_cycles), p.dirty_scan_ratio,
-        static_cast<long long>(p.fanout.route_alloc),
-        static_cast<long long>(p.snapshot_chunks),
-        static_cast<long long>(p.max_chunks_per_tick),
-        p.rejoiner_caught_up ? "true" : "false",
-        i + 1 < points.size() ? "," : "");
+        p.stats.fanout.DirtyScanRatio(p.config.clients),
+        p.rejoiner_caught_up ? "true" : "false");
     j += row;
+    bench::AppendCounters(&j, kProtocolFields, p.stats);
+    bench::AppendCounters(&j, kFanoutFields, p.stats.fanout);
+    bench::AppendCounters(&j, kSyncFields, p.stats.sync);
+    j += i + 1 < points.size() ? "},\n" : "}\n";
   }
   j += "  ]\n}\n";
   if (std::FILE* f = std::fopen("BENCH_server_capacity.json", "w")) {

@@ -91,10 +91,142 @@ inline void AppendDouble(std::string* out, double v) {
 
 }  // namespace detail
 
-/// Writes `BENCH_<bench_name>.json` in the working directory: one row
-/// per sweep point with the scenario knobs that vary, wall-clock cost,
-/// determinism digest, and the virtual-time metrics every figure is
-/// drawn from. The schema is documented in DESIGN.md §8.
+/// Appends `"key": value` for every field of a counter table, after a
+/// ", " unless the enclosing object has just opened. Fleet totals suffix
+/// each summed key with `_total`; a max-merged peak keeps its name.
+template <typename S, size_t N>
+void AppendCounters(std::string* j, const CounterField<S> (&fields)[N],
+                    const S& s, bool fleet_total = false) {
+  for (const CounterField<S>& f : fields) {
+    if (j->back() != '{') *j += ", ";
+    *j += '"';
+    *j += f.key;
+    if (fleet_total && f.rule == MergeRule::kSum) *j += "_total";
+    *j += "\": " + std::to_string(s.*f.member);
+  }
+}
+
+/// Appends one BENCH row: the scenario knobs that vary, wall-clock cost,
+/// determinism digest, and the virtual-time metrics every figure is drawn
+/// from. Counter keys come from the field tables beside each counter
+/// struct; all are emitted whether or not the run touched them, so the
+/// schema is stable.
+inline void AppendBenchRow(std::string* out, const SweepJob& job,
+                           const SweepResult& result) {
+  std::string& j = *out;
+  const RunReport& r = result.report;
+  j += "    {\"label\": \"";
+  detail::AppendEscaped(&j, job.label);
+  j += "\", \"x\": ";
+  detail::AppendDouble(&j, job.x);
+  j += ",\n     \"scenario\": {\"arch\": \"";
+  detail::AppendEscaped(&j, ArchitectureName(job.arch));
+  j += "\", \"clients\": " + std::to_string(job.scenario.num_clients);
+  j += ", \"moves_per_client\": " +
+       std::to_string(job.scenario.moves_per_client);
+  j += ", \"walls\": " + std::to_string(job.scenario.world.num_walls);
+  j += ", \"seed\": " + std::to_string(job.scenario.seed);
+  j += ", \"link_kbps\": ";
+  detail::AppendDouble(&j, job.scenario.link_kbps);
+  j += ", \"wire_mode\": \"";
+  detail::AppendEscaped(&j, WireModeName(job.scenario.wire_mode));
+  j += "\", \"drop_probability\": ";
+  detail::AppendDouble(&j, job.scenario.drop_probability);
+  j += std::string(", \"reliable_transport\": ") +
+       (job.scenario.reliable_transport ? "true" : "false");
+  j += "},\n     \"wall_seconds\": ";
+  detail::AppendDouble(&j, result.wall_seconds);
+  {
+    char digest[32];
+    std::snprintf(digest, sizeof(digest), "0x%016llx",
+                  static_cast<unsigned long long>(result.digest));
+    j += ", \"digest\": \"";
+    j += digest;
+    j += "\",\n";
+  }
+  j += "     \"report\": {";
+  j += "\"response_count\": " + std::to_string(r.response_us.count());
+  j += ", \"response_mean_ms\": ";
+  detail::AppendDouble(&j, r.MeanResponseMs());
+  j += ", \"response_p50_ms\": ";
+  detail::AppendDouble(&j,
+                       static_cast<double>(r.response_us.Median()) / 1000.0);
+  j += ", \"response_p95_ms\": ";
+  detail::AppendDouble(&j, r.P95ResponseMs());
+  j += ", \"response_p99_ms\": ";
+  detail::AppendDouble(&j,
+                       static_cast<double>(r.response_us.P99()) / 1000.0);
+  j += ", \"response_max_ms\": ";
+  detail::AppendDouble(&j, static_cast<double>(r.response_us.max()) / 1000.0);
+  j += ", \"drop_rate\": ";
+  detail::AppendDouble(&j, r.drop_rate);
+  j += ", \"avg_visible_avatars\": ";
+  detail::AppendDouble(&j, r.avg_visible_avatars);
+  j += ", \"per_client_kb\": ";
+  detail::AppendDouble(&j, r.per_client_kb);
+  j += ", \"server_sent_bytes\": " +
+       std::to_string(r.server_traffic.sent.bytes);
+  j += ", \"total_sent_bytes\": " +
+       std::to_string(r.total_traffic.sent.bytes);
+  j += ", \"total_messages\": " +
+       std::to_string(r.total_traffic.sent.messages);
+  j += std::string(", \"consistent\": ") +
+       (r.consistency.consistent() ? "true" : "false");
+  j += ", \"wire_verify_failures\": " +
+       std::to_string(r.wire_verify_failures);
+  j += ", \"end_time_us\": " + std::to_string(r.end_time);
+  j += ", \"events_run\": " + std::to_string(r.events_run);
+  // Crash recoveries as the clients count them (each is also counted once
+  // by the server that served it); catch-up chunks are server-side.
+  j += ", \"rejoins\": " + std::to_string(r.client_stats.rejoins);
+  j += ", \"snapshot_chunks\": " +
+       std::to_string(r.server_stats.snapshot_chunks);
+  // Channel and sync counters of both sides together (retries and AE
+  // repairs are counted at clients); fan-out is server-side only.
+  ChannelStats channel = r.client_stats.channel;
+  channel.Merge(r.server_stats.channel);
+  AppendCounters(&j, kChannelFields, channel);
+  AppendCounters(&j, kFanoutFields, r.server_stats.fanout);
+  j += ", \"dirty_scan_ratio\": ";
+  detail::AppendDouble(&j, r.server_stats.fanout.DirtyScanRatio(r.num_clients));
+  SyncCounters sync = r.server_stats.sync;
+  sync.Merge(r.client_stats.sync);
+  AppendCounters(&j, kSyncFields, sync);
+  if (!r.shard_counters.empty()) {
+    // Sharded-tier counters (DESIGN.md §12, §14): fleet totals plus one
+    // entry per shard, in shard order.
+    ShardCounters total;
+    for (const ShardCounters& sc : r.shard_counters) total.Merge(sc);
+    j += ", \"shard_count\": " + std::to_string(r.shard_counters.size());
+    AppendCounters(&j, kShardFields, total, /*fleet_total=*/true);
+    j += ", \"fast_path_fraction\": ";
+    detail::AppendDouble(&j, total.FastPathFraction());
+    j += ", \"migration_moves_planned\": " +
+         std::to_string(r.migration_moves_planned);
+    j += ", \"load_imbalance_first\": ";
+    detail::AppendDouble(&j, r.load_imbalance_first);
+    j += ", \"load_imbalance_last\": ";
+    detail::AppendDouble(&j, r.load_imbalance_last);
+    j += ", \"imbalance_windows\": [";
+    for (size_t w = 0; w < r.shard_imbalance_windows.size(); ++w) {
+      if (w > 0) j += ", ";
+      detail::AppendDouble(&j, r.shard_imbalance_windows[w]);
+    }
+    j += "], \"shards\": [";
+    for (size_t sh = 0; sh < r.shard_counters.size(); ++sh) {
+      if (sh > 0) j += ", ";
+      j += "{";
+      AppendCounters(&j, kShardFields, r.shard_counters[sh]);
+      j += "}";
+    }
+    j += "]";
+  }
+  j += "}}";
+}
+
+/// Writes `BENCH_<bench_name>.json` in the working directory: the run
+/// envelope plus one AppendBenchRow row per sweep point. The schema is
+/// documented in DESIGN.md §8.
 inline bool WriteBenchJson(const std::string& bench_name, int num_jobs,
                            bool quick, const std::vector<SweepJob>& jobs,
                            const std::vector<SweepResult>& results) {
@@ -114,203 +246,7 @@ inline bool WriteBenchJson(const std::string& bench_name, int num_jobs,
   detail::AppendDouble(&j, total_wall);
   j += ",\n  \"rows\": [\n";
   for (size_t i = 0; i < jobs.size() && i < results.size(); ++i) {
-    const SweepJob& job = jobs[i];
-    const RunReport& r = results[i].report;
-    j += "    {\"label\": \"";
-    detail::AppendEscaped(&j, job.label);
-    j += "\", \"x\": ";
-    detail::AppendDouble(&j, job.x);
-    j += ",\n     \"scenario\": {\"arch\": \"";
-    detail::AppendEscaped(&j, ArchitectureName(job.arch));
-    j += "\", \"clients\": " + std::to_string(job.scenario.num_clients);
-    j += ", \"moves_per_client\": " +
-         std::to_string(job.scenario.moves_per_client);
-    j += ", \"walls\": " + std::to_string(job.scenario.world.num_walls);
-    j += ", \"seed\": " + std::to_string(job.scenario.seed);
-    j += ", \"link_kbps\": ";
-    detail::AppendDouble(&j, job.scenario.link_kbps);
-    j += ", \"wire_mode\": \"";
-    detail::AppendEscaped(&j, WireModeName(job.scenario.wire_mode));
-    j += "\", \"drop_probability\": ";
-    detail::AppendDouble(&j, job.scenario.drop_probability);
-    j += std::string(", \"reliable_transport\": ") +
-         (job.scenario.reliable_transport ? "true" : "false");
-    j += "},\n     \"wall_seconds\": ";
-    detail::AppendDouble(&j, results[i].wall_seconds);
-    {
-      char digest[32];
-      std::snprintf(digest, sizeof(digest), "0x%016llx",
-                    static_cast<unsigned long long>(results[i].digest));
-      j += ", \"digest\": \"";
-      j += digest;
-      j += "\",\n";
-    }
-    j += "     \"report\": {";
-    j += "\"response_count\": " + std::to_string(r.response_us.count());
-    j += ", \"response_mean_ms\": ";
-    detail::AppendDouble(&j, r.MeanResponseMs());
-    j += ", \"response_p50_ms\": ";
-    detail::AppendDouble(
-        &j, static_cast<double>(r.response_us.Median()) / 1000.0);
-    j += ", \"response_p95_ms\": ";
-    detail::AppendDouble(&j, r.P95ResponseMs());
-    j += ", \"response_p99_ms\": ";
-    detail::AppendDouble(
-        &j, static_cast<double>(r.response_us.P99()) / 1000.0);
-    j += ", \"response_max_ms\": ";
-    detail::AppendDouble(
-        &j, static_cast<double>(r.response_us.max()) / 1000.0);
-    j += ", \"drop_rate\": ";
-    detail::AppendDouble(&j, r.drop_rate);
-    j += ", \"avg_visible_avatars\": ";
-    detail::AppendDouble(&j, r.avg_visible_avatars);
-    j += ", \"per_client_kb\": ";
-    detail::AppendDouble(&j, r.per_client_kb);
-    j += ", \"server_sent_bytes\": " +
-         std::to_string(r.server_traffic.sent.bytes);
-    j += ", \"total_sent_bytes\": " +
-         std::to_string(r.total_traffic.sent.bytes);
-    j += ", \"total_messages\": " +
-         std::to_string(r.total_traffic.sent.messages);
-    j += std::string(", \"consistent\": ") +
-         (r.consistency.consistent() ? "true" : "false");
-    j += ", \"wire_verify_failures\": " +
-         std::to_string(r.wire_verify_failures);
-    j += ", \"end_time_us\": " + std::to_string(r.end_time);
-    j += ", \"events_run\": " + std::to_string(r.events_run);
-    {
-      // Reliable-channel and recovery counters (all zero on the plain
-      // transport — emitted unconditionally so the schema is stable).
-      const ChannelStats& cch = r.client_stats.channel;
-      const ChannelStats& sch = r.server_stats.channel;
-      j += ", \"channel_retransmits\": " +
-           std::to_string(cch.retransmits + sch.retransmits);
-      j += ", \"channel_dup_drops\": " +
-           std::to_string(cch.dup_drops + sch.dup_drops);
-      j += ", \"channel_rtx_timeouts\": " +
-           std::to_string(cch.rtx_timeouts + sch.rtx_timeouts);
-      j += ", \"channel_acks_sent\": " +
-           std::to_string(cch.acks_sent + sch.acks_sent);
-      j += ", \"channel_ack_bytes\": " +
-           std::to_string(cch.ack_bytes + sch.ack_bytes);
-      j += ", \"rejoins\": " +
-           std::to_string(r.client_stats.rejoins + r.server_stats.rejoins);
-      j += ", \"snapshot_chunks\": " +
-           std::to_string(r.server_stats.snapshot_chunks);
-    }
-    {
-      // Fan-out kernel counters (DESIGN.md §13): zero outside the SEVE
-      // push path — emitted unconditionally so the schema is stable.
-      const FanoutCounters& fan = r.server_stats.fanout;
-      j += ", \"push_batches\": " + std::to_string(fan.push_batches);
-      j += ", \"coalesced_pushes\": " +
-           std::to_string(fan.coalesced_pushes);
-      j += ", \"superseded_moves\": " +
-           std::to_string(fan.superseded_moves);
-      j += ", \"dirty_slots_flushed\": " +
-           std::to_string(fan.dirty_slots_flushed);
-      j += ", \"flush_cycles\": " + std::to_string(fan.flush_cycles);
-      j += ", \"dirty_scan_ratio\": ";
-      detail::AppendDouble(&j, fan.DirtyScanRatio(r.num_clients));
-      j += ", \"route_alloc\": " + std::to_string(fan.route_alloc);
-    }
-    {
-      // Delta-sync counters (DESIGN.md §15): zero unless delta_sync /
-      // anti-entropy ran — emitted unconditionally so the schema is
-      // stable. Server + client sides merged (retries and AE repairs
-      // are counted at clients).
-      SyncCounters sync = r.server_stats.sync;
-      sync.Merge(r.client_stats.sync);
-      j += ", \"sync_rounds\": " + std::to_string(sync.sync_rounds);
-      j += ", \"sync_strata_bytes\": " + std::to_string(sync.strata_bytes);
-      j += ", \"sync_ibf_cells\": " + std::to_string(sync.ibf_cells);
-      j += ", \"sync_decode_failures\": " +
-           std::to_string(sync.decode_failures);
-      j += ", \"sync_fallbacks\": " + std::to_string(sync.fallbacks);
-      j += ", \"delta_rejoins\": " + std::to_string(sync.delta_rejoins);
-      j += ", \"sync_objects_shipped\": " +
-           std::to_string(sync.objects_shipped);
-      j += ", \"sync_objects_removed\": " +
-           std::to_string(sync.objects_removed);
-      j += ", \"sync_delta_bytes\": " + std::to_string(sync.delta_bytes);
-      j += ", \"sync_full_bytes_estimate\": " +
-           std::to_string(sync.full_bytes_estimate);
-      j += ", \"ae_rounds\": " + std::to_string(sync.ae_rounds);
-      j += ", \"ae_objects_repaired\": " +
-           std::to_string(sync.ae_objects_repaired);
-      j += ", \"owner_repairs\": " + std::to_string(sync.owner_repairs);
-      j += ", \"sync_nacks\": " + std::to_string(sync.nacks);
-      j += ", \"snapshot_retries\": " +
-           std::to_string(sync.snapshot_retries);
-      j += ", \"max_chunks_per_tick\": " +
-           std::to_string(sync.max_chunks_per_tick);
-    }
-    if (!r.shard_counters.empty()) {
-      // Sharded-tier commit counters (DESIGN.md §12): totals plus one
-      // entry per shard, in shard order.
-      ShardCounters total;
-      for (const ShardCounters& sc : r.shard_counters) total.Merge(sc);
-      j += ", \"shard_count\": " + std::to_string(r.shard_counters.size());
-      j += ", \"fast_path_total\": " + std::to_string(total.fast_path);
-      j += ", \"escalated_total\": " + std::to_string(total.escalated);
-      j += ", \"fast_path_fraction\": ";
-      detail::AppendDouble(&j, total.FastPathFraction());
-      // Load + migration totals (DESIGN.md §14).
-      j += ", \"submits_total\": " + std::to_string(total.submits);
-      j += ", \"queue_depth_peak\": " +
-           std::to_string(total.queue_depth_peak);
-      j += ", \"migrations_out_total\": " +
-           std::to_string(total.migrations_out);
-      j += ", \"migrations_in_total\": " +
-           std::to_string(total.migrations_in);
-      j += ", \"migration_aborts_total\": " +
-           std::to_string(total.migration_aborts);
-      j += ", \"migrations_pending_total\": " +
-           std::to_string(total.migrations_pending);
-      j += ", \"rehomed_clients_total\": " +
-           std::to_string(total.rehomed_clients);
-      j += ", \"escalated_pushes_total\": " +
-           std::to_string(total.escalated_pushes);
-      j += ", \"migration_moves_planned\": " +
-           std::to_string(r.migration_moves_planned);
-      j += ", \"load_imbalance_first\": ";
-      detail::AppendDouble(&j, r.load_imbalance_first);
-      j += ", \"load_imbalance_last\": ";
-      detail::AppendDouble(&j, r.load_imbalance_last);
-      j += ", \"imbalance_windows\": [";
-      for (size_t w = 0; w < r.shard_imbalance_windows.size(); ++w) {
-        if (w > 0) j += ", ";
-        detail::AppendDouble(&j, r.shard_imbalance_windows[w]);
-      }
-      j += "]";
-      j += ", \"shards\": [";
-      for (size_t sh = 0; sh < r.shard_counters.size(); ++sh) {
-        const ShardCounters& sc = r.shard_counters[sh];
-        if (sh > 0) j += ", ";
-        j += "{\"fast_path\": " + std::to_string(sc.fast_path);
-        j += ", \"escalated\": " + std::to_string(sc.escalated);
-        j += ", \"tokens_served\": " + std::to_string(sc.tokens_served);
-        j += ", \"commits\": " + std::to_string(sc.commits);
-        j += ", \"aborts\": " + std::to_string(sc.aborts);
-        j += ", \"stale_tokens\": " + std::to_string(sc.stale_tokens);
-        j += ", \"submits\": " + std::to_string(sc.submits);
-        j += ", \"queue_depth_peak\": " +
-             std::to_string(sc.queue_depth_peak);
-        j += ", \"migrations_out\": " + std::to_string(sc.migrations_out);
-        j += ", \"migrations_in\": " + std::to_string(sc.migrations_in);
-        j += ", \"migration_aborts\": " +
-             std::to_string(sc.migration_aborts);
-        j += ", \"migrations_pending\": " +
-             std::to_string(sc.migrations_pending);
-        j += ", \"rehomed_clients\": " +
-             std::to_string(sc.rehomed_clients);
-        j += ", \"escalated_pushes\": " +
-             std::to_string(sc.escalated_pushes);
-        j += "}";
-      }
-      j += "]";
-    }
-    j += "}}";
+    AppendBenchRow(&j, jobs[i], results[i]);
     j += (i + 1 < jobs.size()) ? ",\n" : "\n";
   }
   j += "  ]\n}\n";

@@ -1,144 +1,26 @@
 #include "common/metrics.h"
 
-#include <cstdio>
-
 namespace seve {
 
 void ChannelStats::Merge(const ChannelStats& other) {
-  data_frames += other.data_frames;
-  retransmits += other.retransmits;
-  rtx_timeouts += other.rtx_timeouts;
-  rtx_abandoned += other.rtx_abandoned;
-  dup_drops += other.dup_drops;
-  out_of_order += other.out_of_order;
-  stale_drops += other.stale_drops;
-  acks_sent += other.acks_sent;
-  ack_bytes += other.ack_bytes;
-}
-
-std::string ChannelStats::ToString() const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "frames=%lld rtx=%lld timeouts=%lld abandoned=%lld "
-                "dups=%lld ooo=%lld stale=%lld acks=%lld ack_bytes=%lld",
-                static_cast<long long>(data_frames),
-                static_cast<long long>(retransmits),
-                static_cast<long long>(rtx_timeouts),
-                static_cast<long long>(rtx_abandoned),
-                static_cast<long long>(dup_drops),
-                static_cast<long long>(out_of_order),
-                static_cast<long long>(stale_drops),
-                static_cast<long long>(acks_sent),
-                static_cast<long long>(ack_bytes));
-  return buf;
+  MergeFields(kChannelFields, this, other);
 }
 
 void FanoutCounters::Merge(const FanoutCounters& other) {
-  push_batches += other.push_batches;
-  coalesced_pushes += other.coalesced_pushes;
-  superseded_moves += other.superseded_moves;
-  dirty_slots_flushed += other.dirty_slots_flushed;
-  flush_cycles += other.flush_cycles;
-  route_alloc += other.route_alloc;
+  MergeFields(kFanoutFields, this, other);
 }
 
 void SyncCounters::Merge(const SyncCounters& other) {
-  sync_rounds += other.sync_rounds;
-  strata_bytes += other.strata_bytes;
-  ibf_cells += other.ibf_cells;
-  decode_failures += other.decode_failures;
-  fallbacks += other.fallbacks;
-  delta_rejoins += other.delta_rejoins;
-  objects_shipped += other.objects_shipped;
-  objects_removed += other.objects_removed;
-  delta_bytes += other.delta_bytes;
-  full_bytes_estimate += other.full_bytes_estimate;
-  ae_rounds += other.ae_rounds;
-  ae_objects_repaired += other.ae_objects_repaired;
-  owner_repairs += other.owner_repairs;
-  nacks += other.nacks;
-  snapshot_retries += other.snapshot_retries;
-  if (other.max_chunks_per_tick > max_chunks_per_tick) {
-    max_chunks_per_tick = other.max_chunks_per_tick;
-  }
+  MergeFields(kSyncFields, this, other);
 }
 
 void ProtocolStats::Merge(const ProtocolStats& other) {
-  actions_submitted += other.actions_submitted;
-  actions_committed += other.actions_committed;
-  actions_dropped += other.actions_dropped;
-  actions_reconciled += other.actions_reconciled;
-  actions_evaluated += other.actions_evaluated;
-  out_of_order_evals += other.out_of_order_evals;
-  blind_writes += other.blind_writes;
-  closure_visits += other.closure_visits;
-  rejoins += other.rejoins;
-  snapshot_chunks += other.snapshot_chunks;
+  MergeFields(kProtocolFields, this, other);
   closure_size.Merge(other.closure_size);
   response_time_us.Merge(other.response_time_us);
   channel.Merge(other.channel);
   fanout.Merge(other.fanout);
   sync.Merge(other.sync);
-}
-
-std::string ProtocolStats::ToString() const {
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "submitted=%lld committed=%lld dropped=%lld (%.2f%%) "
-                "reconciled=%lld evaluated=%lld ooo=%lld blind_writes=%lld",
-                static_cast<long long>(actions_submitted),
-                static_cast<long long>(actions_committed),
-                static_cast<long long>(actions_dropped), DropRate() * 100.0,
-                static_cast<long long>(actions_reconciled),
-                static_cast<long long>(actions_evaluated),
-                static_cast<long long>(out_of_order_evals),
-                static_cast<long long>(blind_writes));
-  std::string out = buf;
-  if (rejoins != 0 || snapshot_chunks != 0) {
-    std::snprintf(buf, sizeof(buf), " rejoins=%lld snapshot_chunks=%lld",
-                  static_cast<long long>(rejoins),
-                  static_cast<long long>(snapshot_chunks));
-    out += buf;
-  }
-  out += "\n  response_us: " + response_time_us.ToString();
-  if (channel.data_frames != 0 || channel.acks_sent != 0) {
-    out += "\n  channel: " + channel.ToString();
-  }
-  if (fanout.push_batches != 0 || fanout.superseded_moves != 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "\n  fanout: batches=%lld coalesced=%lld superseded=%lld "
-                  "dirty_flushed=%lld cycles=%lld route_alloc=%lld",
-                  static_cast<long long>(fanout.push_batches),
-                  static_cast<long long>(fanout.coalesced_pushes),
-                  static_cast<long long>(fanout.superseded_moves),
-                  static_cast<long long>(fanout.dirty_slots_flushed),
-                  static_cast<long long>(fanout.flush_cycles),
-                  static_cast<long long>(fanout.route_alloc));
-    out += buf;
-  }
-  if (sync.sync_rounds != 0 || sync.ae_rounds != 0 || sync.nacks != 0 ||
-      sync.snapshot_retries != 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "\n  sync: rounds=%lld cells=%lld decode_fail=%lld "
-                  "fallbacks=%lld shipped=%lld removed=%lld "
-                  "delta_bytes=%lld full_bytes=%lld ae=%lld repaired=%lld "
-                  "owner_repairs=%lld nacks=%lld retries=%lld",
-                  static_cast<long long>(sync.sync_rounds),
-                  static_cast<long long>(sync.ibf_cells),
-                  static_cast<long long>(sync.decode_failures),
-                  static_cast<long long>(sync.fallbacks),
-                  static_cast<long long>(sync.objects_shipped),
-                  static_cast<long long>(sync.objects_removed),
-                  static_cast<long long>(sync.delta_bytes),
-                  static_cast<long long>(sync.full_bytes_estimate),
-                  static_cast<long long>(sync.ae_rounds),
-                  static_cast<long long>(sync.ae_objects_repaired),
-                  static_cast<long long>(sync.owner_repairs),
-                  static_cast<long long>(sync.nacks),
-                  static_cast<long long>(sync.snapshot_retries));
-    out += buf;
-  }
-  return out;
 }
 
 }  // namespace seve

@@ -1,12 +1,57 @@
 #ifndef SEVE_COMMON_METRICS_H_
 #define SEVE_COMMON_METRICS_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "common/histogram.h"
 
 namespace seve {
+
+/// How one scalar counter folds across nodes or shards: flows add up,
+/// peaks keep the worst single contributor.
+enum class MergeRule : uint8_t { kSum, kMax };
+
+/// One scalar counter of `S`: its BENCH json key, its member and its
+/// merge rule. Every counter family lists its fields once, in a constexpr
+/// table beside the struct and in struct order (which is digest order).
+/// Merge, the sweep digest, RunReport::Summary and the BENCH writers all
+/// loop over that table.
+template <typename S>
+struct CounterField {
+  const char* key;
+  int64_t S::*member;
+  MergeRule rule = MergeRule::kSum;
+};
+
+/// Folds every table field of `from` into `into` by its rule.
+template <typename S, size_t N>
+void MergeFields(const CounterField<S> (&fields)[N], S* into,
+                 const S& from) {
+  for (const CounterField<S>& f : fields) {
+    int64_t& mine = into->*f.member;
+    const int64_t theirs = from.*f.member;
+    if (f.rule == MergeRule::kSum) {
+      mine += theirs;
+    } else if (theirs > mine) {
+      mine = theirs;
+    }
+  }
+}
+
+/// A table covers its struct when it names every int64 member exactly
+/// once (`other_bytes` sizes the struct's remaining members), so a
+/// counter added without a table entry fails this check.
+template <typename S, size_t N>
+constexpr bool CoversScalars(const CounterField<S> (&fields)[N],
+                             size_t other_bytes = 0) {
+  for (size_t i = 0; i < N; ++i) {
+    for (size_t k = i + 1; k < N; ++k) {
+      if (fields[i].member == fields[k].member) return false;
+    }
+  }
+  return sizeof(S) == N * sizeof(int64_t) + other_bytes;
+}
 
 /// Byte/message accounting for one traffic direction.
 struct TrafficCounter {
@@ -49,8 +94,20 @@ struct ChannelStats {
   int64_t ack_bytes = 0;       // bytes spent on standalone acks
 
   void Merge(const ChannelStats& other);
-  std::string ToString() const;
 };
+
+inline constexpr CounterField<ChannelStats> kChannelFields[] = {
+    {"channel_data_frames", &ChannelStats::data_frames},
+    {"channel_retransmits", &ChannelStats::retransmits},
+    {"channel_rtx_timeouts", &ChannelStats::rtx_timeouts},
+    {"channel_rtx_abandoned", &ChannelStats::rtx_abandoned},
+    {"channel_dup_drops", &ChannelStats::dup_drops},
+    {"channel_out_of_order", &ChannelStats::out_of_order},
+    {"channel_stale_drops", &ChannelStats::stale_drops},
+    {"channel_acks_sent", &ChannelStats::acks_sent},
+    {"channel_ack_bytes", &ChannelStats::ack_bytes},
+};
+static_assert(CoversScalars(kChannelFields));
 
 /// Fan-out path counters (server push pipeline): how much work the
 /// dirty-list flush and coalesced push batching actually did. All zero on
@@ -65,9 +122,8 @@ struct FanoutCounters {
   int64_t route_alloc = 0;        // routing-path vector growths (scratch +
                                   // pending lists); 0 in steady state
 
-  /// Dirty-list scan work per flush relative to a full-client scan
-  /// (`clients` registered): < 1.0 means the dirty list beat the legacy
-  /// every-client loop.
+  /// Dirty slots examined per push cycle as a share of the `clients`
+  /// registered: 1.0 means every cycle visited every client.
   double DirtyScanRatio(int64_t clients) const {
     const int64_t full = clients * flush_cycles;
     return full == 0 ? 0.0
@@ -77,6 +133,16 @@ struct FanoutCounters {
 
   void Merge(const FanoutCounters& other);
 };
+
+inline constexpr CounterField<FanoutCounters> kFanoutFields[] = {
+    {"push_batches", &FanoutCounters::push_batches},
+    {"coalesced_pushes", &FanoutCounters::coalesced_pushes},
+    {"superseded_moves", &FanoutCounters::superseded_moves},
+    {"dirty_slots_flushed", &FanoutCounters::dirty_slots_flushed},
+    {"flush_cycles", &FanoutCounters::flush_cycles},
+    {"route_alloc", &FanoutCounters::route_alloc},
+};
+static_assert(CoversScalars(kFanoutFields));
 
 /// Set-reconciliation counters (src/sync + the delta-sync handshake in
 /// the protocol/shard servers): how much each rejoin or anti-entropy
@@ -103,6 +169,27 @@ struct SyncCounters {
 
   void Merge(const SyncCounters& other);
 };
+
+inline constexpr CounterField<SyncCounters> kSyncFields[] = {
+    {"sync_rounds", &SyncCounters::sync_rounds},
+    {"sync_strata_bytes", &SyncCounters::strata_bytes},
+    {"sync_ibf_cells", &SyncCounters::ibf_cells},
+    {"sync_decode_failures", &SyncCounters::decode_failures},
+    {"sync_fallbacks", &SyncCounters::fallbacks},
+    {"delta_rejoins", &SyncCounters::delta_rejoins},
+    {"sync_objects_shipped", &SyncCounters::objects_shipped},
+    {"sync_objects_removed", &SyncCounters::objects_removed},
+    {"sync_delta_bytes", &SyncCounters::delta_bytes},
+    {"sync_full_bytes_estimate", &SyncCounters::full_bytes_estimate},
+    {"ae_rounds", &SyncCounters::ae_rounds},
+    {"ae_objects_repaired", &SyncCounters::ae_objects_repaired},
+    {"owner_repairs", &SyncCounters::owner_repairs},
+    {"sync_nacks", &SyncCounters::nacks},
+    {"snapshot_retries", &SyncCounters::snapshot_retries},
+    {"max_chunks_per_tick", &SyncCounters::max_chunks_per_tick,
+     MergeRule::kMax},
+};
+static_assert(CoversScalars(kSyncFields));
 
 /// Protocol-level counters accumulated during a run.
 struct ProtocolStats {
@@ -136,8 +223,26 @@ struct ProtocolStats {
   }
 
   void Merge(const ProtocolStats& other);
-  std::string ToString() const;
 };
+
+/// The scalar counters only: the histograms and the nested families have
+/// their own Merge and their own tables.
+inline constexpr CounterField<ProtocolStats> kProtocolFields[] = {
+    {"actions_submitted", &ProtocolStats::actions_submitted},
+    {"actions_committed", &ProtocolStats::actions_committed},
+    {"actions_dropped", &ProtocolStats::actions_dropped},
+    {"actions_reconciled", &ProtocolStats::actions_reconciled},
+    {"actions_evaluated", &ProtocolStats::actions_evaluated},
+    {"out_of_order_evals", &ProtocolStats::out_of_order_evals},
+    {"blind_writes", &ProtocolStats::blind_writes},
+    {"closure_visits", &ProtocolStats::closure_visits},
+    {"rejoins", &ProtocolStats::rejoins},
+    {"snapshot_chunks", &ProtocolStats::snapshot_chunks},
+};
+static_assert(CoversScalars(kProtocolFields,
+                            2 * sizeof(Histogram) + sizeof(ChannelStats) +
+                                sizeof(FanoutCounters) +
+                                sizeof(SyncCounters)));
 
 }  // namespace seve
 

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 
+#include "common/metrics.h"
+
 namespace seve {
 
 /// Per-shard counters of the sharded serialization tier (DESIGN.md §12).
@@ -28,25 +30,7 @@ struct ShardCounters {
   int64_t escalated_pushes = 0;  // coalesced push batches of escalated results
   int64_t migrations_pending = 0;  // in flight at collection time (leak check)
 
-  void Merge(const ShardCounters& other) {
-    fast_path += other.fast_path;
-    escalated += other.escalated;
-    tokens_served += other.tokens_served;
-    commits += other.commits;
-    aborts += other.aborts;
-    stale_tokens += other.stale_tokens;
-    submits += other.submits;
-    // A peak, not a flow: the fleet total is the worst single shard.
-    queue_depth_peak = queue_depth_peak > other.queue_depth_peak
-                           ? queue_depth_peak
-                           : other.queue_depth_peak;
-    migrations_out += other.migrations_out;
-    migrations_in += other.migrations_in;
-    migration_aborts += other.migration_aborts;
-    rehomed_clients += other.rehomed_clients;
-    escalated_pushes += other.escalated_pushes;
-    migrations_pending += other.migrations_pending;
-  }
+  void Merge(const ShardCounters& other);
 
   double FastPathFraction() const {
     const int64_t total = fast_path + escalated;
@@ -55,6 +39,30 @@ struct ShardCounters {
                             static_cast<double>(total);
   }
 };
+
+/// Fleet totals sum every counter but the queue-depth peak, which is the
+/// worst single shard's.
+inline constexpr CounterField<ShardCounters> kShardFields[] = {
+    {"fast_path", &ShardCounters::fast_path},
+    {"escalated", &ShardCounters::escalated},
+    {"tokens_served", &ShardCounters::tokens_served},
+    {"commits", &ShardCounters::commits},
+    {"aborts", &ShardCounters::aborts},
+    {"stale_tokens", &ShardCounters::stale_tokens},
+    {"submits", &ShardCounters::submits},
+    {"queue_depth_peak", &ShardCounters::queue_depth_peak, MergeRule::kMax},
+    {"migrations_out", &ShardCounters::migrations_out},
+    {"migrations_in", &ShardCounters::migrations_in},
+    {"migration_aborts", &ShardCounters::migration_aborts},
+    {"rehomed_clients", &ShardCounters::rehomed_clients},
+    {"escalated_pushes", &ShardCounters::escalated_pushes},
+    {"migrations_pending", &ShardCounters::migrations_pending},
+};
+static_assert(CoversScalars(kShardFields));
+
+inline void ShardCounters::Merge(const ShardCounters& other) {
+  MergeFields(kShardFields, this, other);
+}
 
 }  // namespace seve
 

@@ -44,59 +44,17 @@ class Fnv {
       }
     }
   }
+  template <typename S, size_t N>
+  void Counters(const CounterField<S> (&fields)[N], const S& s) {
+    for (const CounterField<S>& f : fields) I64(s.*f.member);
+  }
   void Stats(const ProtocolStats& s) {
-    I64(s.actions_submitted);
-    I64(s.actions_committed);
-    I64(s.actions_dropped);
-    I64(s.actions_reconciled);
-    I64(s.actions_evaluated);
-    I64(s.out_of_order_evals);
-    I64(s.blind_writes);
-    I64(s.closure_visits);
-    I64(s.rejoins);
-    I64(s.snapshot_chunks);
-    Channel(s.channel);
-    Fanout(s.fanout);
-    Sync(s.sync);
+    Counters(kProtocolFields, s);
+    Counters(kChannelFields, s.channel);
+    Counters(kFanoutFields, s.fanout);
+    Counters(kSyncFields, s.sync);
     Hist(s.closure_size);
     Hist(s.response_time_us);
-  }
-  void Sync(const SyncCounters& c) {
-    I64(c.sync_rounds);
-    I64(c.strata_bytes);
-    I64(c.ibf_cells);
-    I64(c.decode_failures);
-    I64(c.fallbacks);
-    I64(c.delta_rejoins);
-    I64(c.objects_shipped);
-    I64(c.objects_removed);
-    I64(c.delta_bytes);
-    I64(c.full_bytes_estimate);
-    I64(c.ae_rounds);
-    I64(c.ae_objects_repaired);
-    I64(c.owner_repairs);
-    I64(c.nacks);
-    I64(c.snapshot_retries);
-    I64(c.max_chunks_per_tick);
-  }
-  void Fanout(const FanoutCounters& c) {
-    I64(c.push_batches);
-    I64(c.coalesced_pushes);
-    I64(c.superseded_moves);
-    I64(c.dirty_slots_flushed);
-    I64(c.flush_cycles);
-    I64(c.route_alloc);
-  }
-  void Channel(const ChannelStats& c) {
-    I64(c.data_frames);
-    I64(c.retransmits);
-    I64(c.rtx_timeouts);
-    I64(c.rtx_abandoned);
-    I64(c.dup_drops);
-    I64(c.out_of_order);
-    I64(c.stale_drops);
-    I64(c.acks_sent);
-    I64(c.ack_bytes);
   }
   void Traffic(const TrafficStats& t) {
     I64(t.sent.messages);
@@ -219,22 +177,7 @@ uint64_t DigestReport(const RunReport& r) {
   f.I64(r.consistency.compared);
   f.I64(r.consistency.mismatches);
   f.I64(r.consistency.unreferenced);
-  for (const ShardCounters& s : r.shard_counters) {
-    f.I64(s.fast_path);
-    f.I64(s.escalated);
-    f.I64(s.tokens_served);
-    f.I64(s.commits);
-    f.I64(s.aborts);
-    f.I64(s.stale_tokens);
-    f.I64(s.submits);
-    f.I64(s.queue_depth_peak);
-    f.I64(s.migrations_out);
-    f.I64(s.migrations_in);
-    f.I64(s.migration_aborts);
-    f.I64(s.rehomed_clients);
-    f.I64(s.escalated_pushes);
-    f.I64(s.migrations_pending);
-  }
+  for (const ShardCounters& s : r.shard_counters) f.Counters(kShardFields, s);
   for (const double w : r.shard_imbalance_windows) f.D(w);
   f.D(r.load_imbalance_first);
   f.D(r.load_imbalance_last);

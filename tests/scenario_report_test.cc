@@ -48,10 +48,14 @@ TEST(ReportTest, SummaryMentionsArchitectureAndConsistency) {
   report.architecture = Architecture::kSeve;
   report.num_clients = 12;
   report.response_us.Add(300000);
+  report.server_stats.actions_dropped = 5;
   const std::string summary = report.Summary();
   EXPECT_NE(summary.find("SEVE"), std::string::npos);
   EXPECT_NE(summary.find("clients=12"), std::string::npos);
   EXPECT_NE(summary.find("consistency"), std::string::npos);
+  // Counter lines come from the field tables.
+  EXPECT_NE(summary.find("\n  server: actions_submitted="), std::string::npos);
+  EXPECT_NE(summary.find(" actions_dropped=5 "), std::string::npos);
 }
 
 TEST(ReportTest, ResponseConversions) {
