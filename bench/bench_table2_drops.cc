@@ -73,12 +73,12 @@ int main(int argc, char** argv) {
               "dup drops", "acks");
   for (size_t i = num_range_jobs; i < jobs.size(); ++i) {
     const RunReport& r = results[i].report;
-    const ChannelStats& c = r.client_stats.channel;
-    const ChannelStats& sv = r.server_stats.channel;
+    ChannelStats c = r.client_stats.channel;
+    c.Merge(r.server_stats.channel);
     std::printf("%-12.2f %-12llu %-12llu %-12llu\n", jobs[i].x,
-                static_cast<unsigned long long>(c.retransmits + sv.retransmits),
-                static_cast<unsigned long long>(c.dup_drops + sv.dup_drops),
-                static_cast<unsigned long long>(c.acks_sent + sv.acks_sent));
+                static_cast<unsigned long long>(c.retransmits),
+                static_cast<unsigned long long>(c.dup_drops),
+                static_cast<unsigned long long>(c.acks_sent));
   }
   bench::WriteBenchJson("table2_drops", num_jobs, quick, jobs, results);
   return 0;
